@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     const core::LayerScanner scanner(inter, mask, 2);
     core::ScanScratch scratch;
     run("scan_vectorized_512", bytes, [&] {
-      scanner.masked_sums_into(wspan, scratch);
+      scanner.masked_sums_range_into(wspan, 0, scanner.num_groups(), scratch);
       g_sink = g_sink + scratch.sums[0];
     });
     run("narrow_scan_per_group_512", static_cast<double>(kG), [&] {
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
     const core::LayerScanner scanner(contig, mask, 2);
     core::ScanScratch scratch;
     run("scan_vectorized_contig_512", bytes, [&] {
-      scanner.masked_sums_into(wspan, scratch);
+      scanner.masked_sums_range_into(wspan, 0, scanner.num_groups(), scratch);
       g_sink = g_sink + scratch.sums[0];
     });
   }

@@ -96,21 +96,6 @@ void GroupedCodeScheme::gather(const quant::QuantizedModel& qm,
   }
 }
 
-void GroupedCodeScheme::scan_layer_into(const quant::QuantizedModel& qm,
-                                        std::size_t layer,
-                                        std::vector<std::int64_t>& flagged,
-                                        ScanScratch& scratch) const {
-  RADAR_REQUIRE(attached(), "scan before attach");
-  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
-                "scheme not attached to this model");
-  flagged.clear();
-  for (std::int64_t g = 0; g < layouts_[layer].num_groups(); ++g) {
-    gather(qm, layer, g, scratch.block);
-    if (code_->compute(scratch.block) != golden_[layer].get(g))
-      flagged.push_back(g);
-  }
-}
-
 void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,
                                           std::size_t layer,
                                           std::span<const std::int64_t> groups,
@@ -138,8 +123,8 @@ void GroupedCodeScheme::scan_layer_range_into(
                     group_begin <= group_end &&
                     group_end <= layouts_[layer].num_groups(),
                 "group range out of bounds");
-  // Block codes pay per gathered group either way, so a range scan is the
-  // full-scan loop bounded to [group_begin, group_end).
+  // Block codes pay per gathered group, so a range scan costs the groups
+  // it covers.
   flagged.clear();
   for (std::int64_t g = group_begin; g < group_end; ++g) {
     gather(qm, layer, g, scratch.block);

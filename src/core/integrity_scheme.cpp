@@ -11,33 +11,54 @@ bool DetectionReport::is_flagged(std::size_t layer,
   return std::binary_search(f.begin(), f.end(), group);
 }
 
-void IntegrityScheme::scan_layer_groups(const quant::QuantizedModel& qm,
-                                        std::size_t layer,
-                                        std::span<const std::int64_t> groups,
-                                        std::vector<std::int64_t>& flagged,
-                                        ScanScratch& scratch) const {
-  scan_layer_into(qm, layer, flagged, scratch);
-  // Keep only the requested groups (both lists are sorted ascending).
-  std::size_t keep = 0, gi = 0;
-  for (const std::int64_t f : flagged) {
-    while (gi < groups.size() && groups[gi] < f) ++gi;
-    if (gi < groups.size() && groups[gi] == f) flagged[keep++] = f;
-  }
-  flagged.resize(keep);
+void IntegrityScheme::scan_layer_into(const quant::QuantizedModel& qm,
+                                      std::size_t layer,
+                                      std::vector<std::int64_t>& flagged,
+                                      ScanScratch& scratch) const {
+  RADAR_REQUIRE(attached(), "scan before attach");
+  RADAR_REQUIRE(layer < num_layers(), "layer out of range");
+  scan_layer_range_into(qm, layer, 0, layout(layer).num_groups(), flagged,
+                        scratch);
 }
 
-void IntegrityScheme::scan_layer_range_into(const quant::QuantizedModel& qm,
-                                            std::size_t layer,
-                                            std::int64_t group_begin,
-                                            std::int64_t group_end,
-                                            std::vector<std::int64_t>& flagged,
-                                            ScanScratch& scratch) const {
+std::vector<std::int64_t> IntegrityScheme::scan_layer(
+    const quant::QuantizedModel& qm, std::size_t layer) const {
+  std::vector<std::int64_t> flagged;
+  ScanScratch scratch;
   scan_layer_into(qm, layer, flagged, scratch);
-  // Trim to [group_begin, group_end) — flagged is sorted ascending.
-  std::size_t keep = 0;
-  for (const std::int64_t f : flagged)
-    if (f >= group_begin && f < group_end) flagged[keep++] = f;
-  flagged.resize(keep);
+  return flagged;
+}
+
+DetectionReport IntegrityScheme::scan(const quant::QuantizedModel& qm) const {
+  RADAR_REQUIRE(attached() && num_layers() == qm.num_layers(),
+                "scheme not attached to this model");
+  DetectionReport report;
+  report.flagged.resize(qm.num_layers());
+  ScanScratch scratch;
+  for (std::size_t li = 0; li < qm.num_layers(); ++li)
+    scan_layer_into(qm, li, report.flagged[li], scratch);
+  return report;
+}
+
+void plan_chunks(const IntegrityScheme& scheme, std::int64_t chunk_bytes,
+                 std::vector<ScanChunk>& plan) {
+  RADAR_REQUIRE(chunk_bytes > 0, "scan chunk size must be positive");
+  plan.clear();
+  for (std::size_t li = 0; li < scheme.num_layers(); ++li) {
+    const GroupLayout& layout = scheme.layout(li);
+    const std::int64_t nw = layout.num_weights();
+    const std::int64_t ng = layout.num_groups();
+    // Chunk count proportional to this layer's bytes, split as evenly as
+    // possible over its groups (a group is the atomic scan unit).
+    const std::int64_t chunks = std::max<std::int64_t>(
+        1, std::min(ng, nw / chunk_bytes + (nw % chunk_bytes != 0)));
+    const std::int64_t per = (ng + chunks - 1) / chunks;
+    for (std::int64_t b = 0; b < ng; b += per) {
+      const std::int64_t e = std::min(b + per, ng);
+      plan.push_back({li, b, e,
+                      std::max<std::int64_t>(1, (nw * (e - b) + ng - 1) / ng)});
+    }
+  }
 }
 
 SchemeBase::SchemeBase(std::string id, const SchemeParams& params)
@@ -83,24 +104,6 @@ void SchemeBase::set_clean_source(std::shared_ptr<const void> holder,
   clean_holder_ = std::move(holder);
   clean_bytes_ = bytes;
   clean_copy_ = {};  // drop the owned copy — the external source wins
-}
-
-std::vector<std::int64_t> SchemeBase::scan_layer(
-    const quant::QuantizedModel& qm, std::size_t layer) const {
-  std::vector<std::int64_t> flagged;
-  ScanScratch scratch;
-  scan_layer_into(qm, layer, flagged, scratch);
-  return flagged;
-}
-
-DetectionReport SchemeBase::scan(const quant::QuantizedModel& qm) const {
-  RADAR_REQUIRE(layouts_.size() == qm.num_layers(),
-                "scheme not attached to this model");
-  DetectionReport report;
-  report.flagged.resize(qm.num_layers());
-  for (std::size_t li = 0; li < qm.num_layers(); ++li)
-    report.flagged[li] = scan_layer(qm, li);
-  return report;
 }
 
 void SchemeBase::recover(quant::QuantizedModel& qm,

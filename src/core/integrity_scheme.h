@@ -3,13 +3,19 @@
 // Every weight-integrity code in this repo — the paper's 2/3-bit RADAR
 // group signatures as well as the CRC / Fletcher / Hamming baselines it is
 // compared against (Table V) — plugs into the run-time path through this
-// interface: attach to a quantized model, scan (whole model or one layer),
-// recover flagged groups, re-sign after authorized updates, and round-trip
-// the golden codes through a deployment package. SchemeBase supplies the
-// plumbing every grouped code shares: per-layer GroupLayouts, the clean
-// snapshot backing kReloadClean recovery, and the layer-loop defaults for
-// scan / resign. Concrete schemes are created by name through
-// SchemeRegistry; whole-model scans parallelize through ScanSession.
+// interface: attach to a quantized model, scan, recover flagged groups,
+// re-sign after authorized updates, and round-trip the golden codes
+// through a deployment package. The paper checks a layer's groups when
+// that layer's weights are fetched (§IV), so a scheme implements one scan
+// primitive, "recheck groups [b, e) of layer L" (scan_layer_range_into),
+// plus the narrow dirty-group rescan (scan_layer_groups); whole-layer and
+// whole-model scans are non-virtual helpers over the range primitive.
+// plan_chunks cuts a model into the byte-sized group ranges that
+// ScanSession drains in parallel and ScanScheduler drains under a budget.
+// SchemeBase supplies the plumbing every grouped code shares: per-layer
+// GroupLayouts, the clean snapshot backing kReloadClean recovery, and the
+// layer loop of resign. Concrete schemes are created by name through
+// SchemeRegistry.
 #pragma once
 
 #include <cstdint>
@@ -86,54 +92,40 @@ class IntegrityScheme {
   virtual std::size_t num_layers() const = 0;
   virtual const GroupLayout& layout(std::size_t layer) const = 0;
 
-  /// Recompute every group's code and compare with the golden ones.
-  virtual DetectionReport scan(const quant::QuantizedModel& qm) const = 0;
-
-  /// Scan a single layer (run-time per-layer embedding, §IV); returns the
-  /// flagged group ids, sorted ascending.
-  virtual std::vector<std::int64_t> scan_layer(
-      const quant::QuantizedModel& qm, std::size_t layer) const = 0;
-
-  /// Zero-allocation scan_layer: fills `flagged` (cleared first, capacity
-  /// kept) using `scratch` for working memory. This is the primitive the
-  /// run-time scan loop calls; SchemeBase derives scan_layer from it.
-  virtual void scan_layer_into(const quant::QuantizedModel& qm,
-                               std::size_t layer,
-                               std::vector<std::int64_t>& flagged,
-                               ScanScratch& scratch) const = 0;
+  /// Range scan — the scan primitive: recompute groups [group_begin,
+  /// group_end) of one layer and fill `flagged` (cleared first, capacity
+  /// kept) with the mismatching ids, ascending, using `scratch` for
+  /// working memory. Cost is proportional to the bytes the range covers,
+  /// and ranges that partition a layer concatenate to the whole-layer
+  /// result bit for bit.
+  virtual void scan_layer_range_into(const quant::QuantizedModel& qm,
+                                     std::size_t layer,
+                                     std::int64_t group_begin,
+                                     std::int64_t group_end,
+                                     std::vector<std::int64_t>& flagged,
+                                     ScanScratch& scratch) const = 0;
 
   /// Narrow scan: recheck only `groups` (sorted ascending, deduplicated)
   /// of one layer, filling `flagged` with the mismatching subset. When
   /// every group outside `groups` is known to still hold the weights the
   /// golden codes were computed from, the result equals scan_layer bit for
   /// bit at O(|groups| * G) cost — the incremental-scan primitive.
-  /// Default recomputes the full layer and intersects.
   virtual void scan_layer_groups(const quant::QuantizedModel& qm,
                                  std::size_t layer,
                                  std::span<const std::int64_t> groups,
                                  std::vector<std::int64_t>& flagged,
-                                 ScanScratch& scratch) const;
+                                 ScanScratch& scratch) const = 0;
 
-  /// Range scan: recompute only groups [group_begin, group_end) of one
-  /// layer, filling `flagged` (cleared first) with the mismatching ids in
-  /// that range. This is the byte-range sharding primitive ScanSession
-  /// partitions whole-model scans with: the result equals the
-  /// corresponding slice of scan_layer_into bit for bit, at cost
-  /// proportional to the bytes the range covers. Default recomputes the
-  /// full layer and trims — correct, but rangeless schemes gain no
-  /// sharding speedup.
-  virtual void scan_layer_range_into(const quant::QuantizedModel& qm,
-                                     std::size_t layer,
-                                     std::int64_t group_begin,
-                                     std::int64_t group_end,
-                                     std::vector<std::int64_t>& flagged,
-                                     ScanScratch& scratch) const;
-
-  /// True when scan_layer_range_into costs O(range bytes) rather than
-  /// falling back to a full-layer scan + trim. ScanSession only splits a
-  /// layer into byte-range shards for schemes that say so — splitting a
-  /// trim-fallback scheme would multiply total work by the shard count.
-  virtual bool supports_range_scan() const { return false; }
+  /// Whole-layer scan: scan_layer_range_into over [0, num_groups).
+  void scan_layer_into(const quant::QuantizedModel& qm, std::size_t layer,
+                       std::vector<std::int64_t>& flagged,
+                       ScanScratch& scratch) const;
+  /// Allocating scan_layer_into; flagged group ids, sorted ascending.
+  std::vector<std::int64_t> scan_layer(const quant::QuantizedModel& qm,
+                                       std::size_t layer) const;
+  /// Serial whole-model scan: every layer's groups compared with the
+  /// golden codes.
+  DetectionReport scan(const quant::QuantizedModel& qm) const;
 
   /// Apply recovery to every flagged group.
   virtual void recover(quant::QuantizedModel& qm,
@@ -184,9 +176,8 @@ class IntegrityScheme {
 };
 
 /// Shared plumbing of grouped schemes: per-layer GroupLayouts derived from
-/// SchemeParams, the clean snapshot, and the layer-loop defaults.
-/// Subclasses implement scan_layer_into (the zero-allocation path);
-/// scan_layer is provided here as the allocating wrapper around it.
+/// SchemeParams, the clean snapshot, recovery and the resign layer loop.
+/// Subclasses implement the two scan primitives and resign_layer.
 class SchemeBase : public IntegrityScheme {
  public:
   const std::string& id() const override { return id_; }
@@ -197,9 +188,6 @@ class SchemeBase : public IntegrityScheme {
     return layouts_.at(layer);
   }
 
-  DetectionReport scan(const quant::QuantizedModel& qm) const override;
-  std::vector<std::int64_t> scan_layer(const quant::QuantizedModel& qm,
-                                       std::size_t layer) const override;
   void recover(quant::QuantizedModel& qm, const DetectionReport& report,
                RecoveryPolicy policy = RecoveryPolicy::kZeroOut)
       const override;
@@ -254,6 +242,22 @@ class SchemeBase : public IntegrityScheme {
   std::span<const std::int8_t> clean_bytes_;  ///< active whole-arena view
   bool defer_clean_capture_ = false;          ///< one-shot attach hint
 };
+
+/// One unit of chunked scan work: groups [begin, end) of one layer,
+/// covering about `bytes` weight bytes.
+struct ScanChunk {
+  std::size_t layer;
+  std::int64_t begin, end;
+  std::int64_t bytes;
+};
+
+/// Cut every layer of an attached scheme into contiguous ascending group
+/// ranges of about `chunk_bytes` weight bytes each (at least one group per
+/// chunk, at least one chunk per layer), in layer order, into `plan`
+/// (cleared first, capacity kept). Concatenating the chunks' range-scan
+/// flags in plan order reproduces scan() for any chunk size.
+void plan_chunks(const IntegrityScheme& scheme, std::int64_t chunk_bytes,
+                 std::vector<ScanChunk>& plan);
 
 /// Number of attack flips that land in groups flagged by `report` — the
 /// paper's "detected bit-flips out of N" metric. Flips are (layer, index)

@@ -9,39 +9,14 @@ namespace radar::core {
 
 void ScanScheduler::plan(const IntegrityScheme& scheme, Config cfg) {
   RADAR_REQUIRE(scheme.attached(), "scheduler plan before attach");
-  RADAR_REQUIRE(cfg.chunk_bytes > 0, "scan chunk size must be positive");
+  plan_chunks(scheme, cfg.chunk_bytes, plan_);
   scheme_ = &scheme;
   cfg_ = cfg;
-  plan_.clear();
   cursor_ = 0;
   dirty_queue_.clear();
   dirty_set_.clear();
   sweep_started_ = false;
   sweep_end_ = Clock::now();
-
-  // Same partitioning rule as ScanSession: chunks cover contiguous
-  // ascending group ranges sized to ~chunk_bytes of weights; schemes
-  // whose range scan is a full-layer fallback keep one chunk per layer
-  // (splitting would rescan the whole layer per chunk).
-  const bool splittable = scheme.supports_range_scan();
-  for (std::size_t li = 0; li < scheme.num_layers(); ++li) {
-    const GroupLayout& layout = scheme.layout(li);
-    const std::int64_t nw = layout.num_weights();
-    const std::int64_t ng = layout.num_groups();
-    const std::int64_t chunks =
-        splittable
-            ? std::max<std::int64_t>(
-                  1, std::min(ng, (nw + cfg.chunk_bytes - 1) /
-                                      cfg.chunk_bytes))
-            : 1;
-    const std::int64_t per = (ng + chunks - 1) / chunks;
-    for (std::int64_t b = 0; b < ng; b += per) {
-      const std::int64_t e = std::min(b + per, ng);
-      plan_.push_back({li, b, e, std::max<std::int64_t>(
-                                     1, (nw * (e - b) + ng - 1) / ng)});
-    }
-  }
-
   building_.flagged.assign(scheme.num_layers(), std::vector<std::int64_t>{});
   sweep_report_.flagged.assign(scheme.num_layers(),
                                std::vector<std::int64_t>{});
@@ -66,24 +41,17 @@ std::int64_t ScanScheduler::coverage_age_ns() const {
       .count();
 }
 
-void ScanScheduler::scan_range(const quant::QuantizedModel& qm,
-                               std::size_t layer, std::int64_t begin,
-                               std::int64_t end) {
-  // Whole-layer fast path when the range covers every group.
-  if (begin == 0 && end == scheme_->layout(layer).num_groups())
-    scheme_->scan_layer_into(qm, layer, chunk_flags_, scratch_);
-  else
-    scheme_->scan_layer_range_into(qm, layer, begin, end, chunk_flags_,
-                                   scratch_);
-}
-
 void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
                                        std::size_t layer,
                                        std::int64_t begin,
                                        std::int64_t end) {
+  const auto scan_range = [&] {
+    scheme_->scan_layer_range_into(qm, layer, begin, end, chunk_flags_,
+                                   scratch_);
+  };
   quant::EpochGuard* guard = qm.epoch_guard();
   if (guard == nullptr) {
-    scan_range(qm, layer, begin, end);
+    scan_range();
     return;
   }
   // The validated range is the layer's whole byte range: interleaved
@@ -97,7 +65,7 @@ void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
       std::this_thread::yield();
       continue;
     }
-    scan_range(qm, layer, begin, end);
+    scan_range();
     if (guard->read_validate(b0, b1, epoch_snap_)) {
       done = true;
     } else {
@@ -109,7 +77,7 @@ void ScanScheduler::scan_range_guarded(const quant::QuantizedModel& qm,
     // hot writer can delay detection, never defeat it.
     ++epoch_fallbacks_;
     auto lock = guard->lock_writers();
-    scan_range(qm, layer, begin, end);
+    scan_range();
   }
 }
 
@@ -164,7 +132,7 @@ ScanScheduler::Slice ScanScheduler::run_slice(
       sweep_start_ = Clock::now();
       sweep_started_ = true;
     }
-    const Chunk& ch = plan_[cursor_];
+    const ScanChunk& ch = plan_[cursor_];
     scan_range_guarded(qm, ch.layer, ch.begin, ch.end);
     auto& accum = building_.flagged[ch.layer];
     accum.insert(accum.end(), chunk_flags_.begin(), chunk_flags_.end());

@@ -11,15 +11,15 @@
 // batches; the budget is the dial between detection latency and
 // throughput, and the completed-sweep cadence is the coverage guarantee.
 //
-// Report identity: the chunk plan mirrors ScanSession's byte-range
-// partitioning (contiguous ascending group ranges per layer, whole-layer
-// chunks for schemes without a native range kernel), and each completed
-// sweep accumulates chunk flags in plan order — so `last_sweep_report()`
-// equals a serial `scheme.scan(qm)` / `ScanSession::scan_into` bit for
-// bit, for ANY budget. The budget changes *when* groups are scanned,
-// never *what* a sweep reports. Dirty-queue rescans are reported through
-// `slice_flags()` only and never merged into the sweep report, so the
-// identity survives priority preemption.
+// Report identity: the sweep is the plan_chunks plan ScanSession also
+// drains (contiguous ascending group ranges per layer), and each
+// completed sweep accumulates chunk flags in plan order — so
+// `last_sweep_report()` equals a serial `scheme.scan(qm)` /
+// `ScanSession::scan_into` bit for bit, for ANY budget. The budget
+// changes *when* groups are scanned, never *what* a sweep reports.
+// Dirty-queue rescans are reported through `slice_flags()` only and never
+// merged into the sweep report, so the identity survives priority
+// preemption.
 //
 // Concurrency: when the model's arena has an EpochGuard, every chunk is
 // bracketed by the same seqlock protocol the serve scanner used —
@@ -131,13 +131,6 @@ class ScanScheduler {
   std::int64_t coverage_age_ns() const;
 
  private:
-  /// One sweep granule: groups [begin, end) of one layer.
-  struct Chunk {
-    std::size_t layer;
-    std::int64_t begin, end;
-    std::int64_t bytes;  ///< approx weight bytes the range covers
-  };
-
   using Clock = std::chrono::steady_clock;
 
   /// Scan groups [begin, end) of `layer` under the epoch protocol
@@ -145,12 +138,10 @@ class ScanScheduler {
   void scan_range_guarded(const quant::QuantizedModel& qm,
                           std::size_t layer, std::int64_t begin,
                           std::int64_t end);
-  void scan_range(const quant::QuantizedModel& qm, std::size_t layer,
-                  std::int64_t begin, std::int64_t end);
 
   const IntegrityScheme* scheme_ = nullptr;
   Config cfg_;
-  std::vector<Chunk> plan_;
+  std::vector<ScanChunk> plan_;
   std::size_t cursor_ = 0;
 
   std::deque<std::pair<std::size_t, std::int64_t>> dirty_queue_;

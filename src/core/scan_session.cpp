@@ -8,11 +8,13 @@
 namespace radar::core {
 
 namespace {
-/// Byte-range sharding tunables: aim for a few shards per worker so the
-/// pool can rebalance, but never shards so small that per-item overhead
-/// dominates the kernel.
+/// Automatic chunk size: aim for a few chunks per worker so the pool can
+/// rebalance, but never chunks so small that per-item overhead dominates
+/// the kernel.
 constexpr std::int64_t kShardsPerThread = 4;
 constexpr std::int64_t kMinShardBytes = 4096;
+/// Dirty-group fraction above which scan_dirty_into takes the full scan.
+constexpr double kFullScanThreshold = 0.25;
 }  // namespace
 
 ScanSession::ScanSession(const IntegrityScheme& scheme, std::size_t threads)
@@ -31,122 +33,10 @@ ThreadPool* ScanSession::pool() const {
   return pool_.get();
 }
 
-void ScanSession::ensure_scratch(std::size_t num_layers) const {
-  if (scratch_.size() < num_layers) scratch_.resize(num_layers);
-  if (dirty_groups_.size() < num_layers) dirty_groups_.resize(num_layers);
-}
-
 DetectionReport ScanSession::scan(const quant::QuantizedModel& qm) const {
   DetectionReport report;
   scan_into(qm, report);
   return report;
-}
-
-void ScanSession::plan_shards(const quant::QuantizedModel& qm) const {
-  plan_.clear();
-  const std::int64_t total = qm.total_weights();
-  const std::int64_t target =
-      shard_bytes_ > 0
-          ? shard_bytes_
-          : std::max<std::int64_t>(
-                kMinShardBytes,
-                total / (static_cast<std::int64_t>(effective_workers_) *
-                         kShardsPerThread));
-  // A scheme whose range scan is a full-layer fallback must not have its
-  // layers split — each extra shard would rescan the whole layer.
-  const bool splittable = scheme_->supports_range_scan();
-  for (std::size_t li = 0; li < qm.num_layers(); ++li) {
-    const GroupLayout& layout = scheme_->layout(li);
-    const std::int64_t nw = layout.num_weights();
-    const std::int64_t ng = layout.num_groups();
-    // Shard count proportional to this layer's bytes, split as evenly as
-    // possible over its groups (a group is the atomic scan unit).
-    const std::int64_t chunks =
-        splittable ? std::max<std::int64_t>(
-                         1, std::min(ng, (nw + target - 1) / target))
-                   : 1;
-    const std::int64_t per = (ng + chunks - 1) / chunks;
-    for (std::int64_t b = 0; b < ng; b += per)
-      plan_.push_back({li, b, std::min(b + per, ng)});
-  }
-  if (shard_slots_.size() < plan_.size()) shard_slots_.resize(plan_.size());
-}
-
-void ScanSession::scan_sharded(const quant::QuantizedModel& qm,
-                               DetectionReport& out, ThreadPool* pool) const {
-  plan_shards(qm);
-  // Workers pull shards off a shared atomic index: one submitted task per
-  // worker instead of one per shard, so the pool's queue mutex is touched
-  // O(workers) times per scan rather than O(shards) — at the old
-  // one-task-per-shard granularity the lock/wake churn rivalled the
-  // millisecond-scale shard kernels themselves.
-  std::atomic<std::size_t> next{0};
-  const auto run_shard = [this, &qm](std::size_t si) {
-    const Shard& sh = plan_[si];
-    ShardSlot& slot = shard_slots_[si];
-    // A shard covering the whole layer takes the full-layer kernel
-    // (identical flags; skips the range plumbing for schemes without
-    // a native range path).
-    if (sh.begin == 0 && sh.end == scheme_->layout(sh.layer).num_groups())
-      scheme_->scan_layer_into(qm, sh.layer, slot.flags, slot.scratch);
-    else
-      scheme_->scan_layer_range_into(qm, sh.layer, sh.begin, sh.end,
-                                     slot.flags, slot.scratch);
-  };
-  const auto drain = [this, &next, &run_shard] {
-    for (std::size_t si = next.fetch_add(1, std::memory_order_relaxed);
-         si < plan_.size();
-         si = next.fetch_add(1, std::memory_order_relaxed))
-      run_shard(si);
-  };
-  if (pool == nullptr) {
-    // Clamped to one core: drain every shard inline. Same plan, same
-    // slots, same merge — and no thread handoff for hardware that cannot
-    // overlap the work anyway.
-    drain();
-  } else {
-    std::exception_ptr error;
-    std::atomic<bool> failed{false};
-    for (std::size_t w = 0; w < pool->size(); ++w) {
-      pool->submit([&drain, &error, &failed] {
-        try {
-          drain();
-        } catch (...) {
-          if (!failed.exchange(true)) error = std::current_exception();
-        }
-      });
-    }
-    pool->wait();
-    if (error) std::rethrow_exception(error);
-  }
-  // Deterministic merge: shards of a layer appear in ascending group
-  // order in the plan, so concatenation reproduces the serial flag list.
-  for (auto& f : out.flagged) f.clear();
-  for (std::size_t si = 0; si < plan_.size(); ++si) {
-    auto& dst = out.flagged[plan_[si].layer];
-    dst.insert(dst.end(), shard_slots_[si].flags.begin(),
-               shard_slots_[si].flags.end());
-  }
-}
-
-void ScanSession::scan_by_layer(const quant::QuantizedModel& qm,
-                                DetectionReport& out,
-                                ThreadPool& pool) const {
-  // Legacy partitioning: one work item per layer; the first exception
-  // (if any) is rethrown on the calling thread after the pool drains.
-  std::exception_ptr error;
-  std::atomic<bool> failed{false};
-  for (std::size_t li = 0; li < qm.num_layers(); ++li) {
-    pool.submit([this, &qm, &out, &error, &failed, li] {
-      try {
-        scheme_->scan_layer_into(qm, li, out.flagged[li], scratch_[li]);
-      } catch (...) {
-        if (!failed.exchange(true)) error = std::current_exception();
-      }
-    });
-  }
-  pool.wait();
-  if (error) std::rethrow_exception(error);
 }
 
 void ScanSession::scan_into(const quant::QuantizedModel& qm,
@@ -154,22 +44,57 @@ void ScanSession::scan_into(const quant::QuantizedModel& qm,
   RADAR_REQUIRE(scheme_->attached(), "scan before attach");
   RADAR_REQUIRE(scheme_->num_layers() == qm.num_layers(),
                 "scheme not attached to this model");
-  ensure_scratch(qm.num_layers());
-  out.flagged.resize(qm.num_layers());
+  const std::int64_t target =
+      shard_bytes_ > 0
+          ? shard_bytes_
+          : std::max<std::int64_t>(
+                kMinShardBytes,
+                qm.total_weights() /
+                    (static_cast<std::int64_t>(effective_workers_) *
+                     kShardsPerThread));
+  plan_chunks(*scheme_, target, plan_);
+  if (shard_slots_.size() < plan_.size()) shard_slots_.resize(plan_.size());
+  // Workers pull chunks off a shared atomic index: one submitted task per
+  // worker instead of one per chunk, so the pool's queue mutex is touched
+  // O(workers) times per scan rather than O(chunks).
+  std::atomic<std::size_t> next{0};
+  const auto drain = [this, &qm, &next] {
+    for (std::size_t ci = next.fetch_add(1, std::memory_order_relaxed);
+         ci < plan_.size();
+         ci = next.fetch_add(1, std::memory_order_relaxed)) {
+      const ScanChunk& ch = plan_[ci];
+      ShardSlot& slot = shard_slots_[ci];
+      scheme_->scan_layer_range_into(qm, ch.layer, ch.begin, ch.end,
+                                     slot.flags, slot.scratch);
+    }
+  };
   ThreadPool* p = pool();
-  if (threads_ > 1 && sharding_ == Sharding::kByteRange) {
-    // The sharded path also serves pool-less (clamped) sessions: the
-    // plan and merge are part of the session's contract, only the
-    // draining degenerates to inline.
-    scan_sharded(qm, out, p);
-    return;
-  }
   if (p == nullptr) {
-    for (std::size_t li = 0; li < qm.num_layers(); ++li)
-      scheme_->scan_layer_into(qm, li, out.flagged[li], scratch_[li]);
-    return;
+    drain();
+  } else {
+    std::exception_ptr error;
+    std::atomic<bool> failed{false};
+    for (std::size_t w = 0; w < p->size(); ++w) {
+      p->submit([&drain, &error, &failed] {
+        try {
+          drain();
+        } catch (...) {
+          if (!failed.exchange(true)) error = std::current_exception();
+        }
+      });
+    }
+    p->wait();
+    if (error) std::rethrow_exception(error);
   }
-  scan_by_layer(qm, out, *p);
+  // Deterministic merge: chunks of a layer appear in ascending group
+  // order in the plan, so concatenation reproduces the serial flag list.
+  out.flagged.resize(qm.num_layers());
+  for (auto& f : out.flagged) f.clear();
+  for (std::size_t ci = 0; ci < plan_.size(); ++ci) {
+    auto& dst = out.flagged[plan_[ci].layer];
+    dst.insert(dst.end(), shard_slots_[ci].flags.begin(),
+               shard_slots_[ci].flags.end());
+  }
 }
 
 void ScanSession::scan_dirty_into(const quant::QuantizedModel& qm,
@@ -181,7 +106,8 @@ void ScanSession::scan_dirty_into(const quant::QuantizedModel& qm,
     scan_into(qm, out);  // no log — the full scan is the only safe answer
     return;
   }
-  ensure_scratch(qm.num_layers());
+  if (dirty_groups_.size() < qm.num_layers())
+    dirty_groups_.resize(qm.num_layers());
   for (std::size_t li = 0; li < qm.num_layers(); ++li)
     dirty_groups_[li].clear();
   // Map each recorded write to its checksum group through the layer's
@@ -197,7 +123,7 @@ void ScanSession::scan_dirty_into(const quant::QuantizedModel& qm,
     total_dirty += static_cast<std::int64_t>(g.size());
   }
   if (static_cast<double>(total_dirty) >
-      full_scan_threshold_ * static_cast<double>(scheme_->total_groups())) {
+      kFullScanThreshold * static_cast<double>(scheme_->total_groups())) {
     scan_into(qm, out);
     return;
   }
@@ -211,7 +137,7 @@ void ScanSession::scan_dirty_into(const quant::QuantizedModel& qm,
       continue;
     }
     scheme_->scan_layer_groups(qm, li, dirty_groups_[li], out.flagged[li],
-                               scratch_[li]);
+                               scratch_);
   }
 }
 

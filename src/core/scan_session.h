@@ -1,35 +1,33 @@
-// ScanSession: whole-model scans batched over a thread pool with
-// byte-range work sharding, plus an incremental dirty-group mode.
+// ScanSession: whole-model scans drained over a thread pool, plus an
+// incremental dirty-group mode.
 //
-// A whole-model scan is partitioned into shards of roughly equal weight
-// *bytes* — contiguous group ranges of a layer, split through the
-// scheme's scan_layer_range_into primitive — rather than one work item
-// per layer. Conv layer sizes span ~two orders of magnitude, so
-// layer-granular partitioning is limited by its largest layer (one
-// thread finishes last while the rest idle); byte-range shards
+// A whole-model scan is the plan_chunks plan of the scheme — contiguous
+// group ranges of roughly equal weight *bytes*, each scanned through
+// scan_layer_range_into — drained by workers pulling chunks off an atomic
+// index. Conv layer sizes span ~two orders of magnitude, so one work item
+// per layer would be limited by the largest layer; byte-sized chunks
 // load-balance regardless of the layer size distribution. Results are
-// bit-identical to the serial scan: shards of a layer cover disjoint
+// bit-identical to scheme.scan(qm): chunks of a layer cover disjoint
 // ascending group ranges, each writes its own slot, and the merge
-// concatenates in plan order. `threads == 1` runs inline with no pool;
-// `threads == 0` uses one thread per hardware core. Sharding::kLayer
-// restores the legacy one-item-per-layer fanout (kept for benchmarking
-// and differential tests).
+// concatenates in plan order. With one effective worker the same plan is
+// drained inline with no pool; `threads == 0` uses one thread per
+// hardware core.
 //
-// The session owns per-shard and per-layer scratch; scan_into /
-// scan_dirty_into reuse the caller's DetectionReport vectors, and the
-// shard plan is rebuilt into cached vectors, so the steady-state scan
-// loop performs zero allocations. A session must not be scanned from two
-// threads at once (the scratch would race); campaign workers each hold
-// their own session.
+// The session owns per-chunk scratch; scan_into / scan_dirty_into reuse
+// the caller's DetectionReport vectors, and the plan is rebuilt into a
+// cached vector, so the steady-state scan loop performs zero
+// allocations. A session must not be scanned from two threads at once
+// (the scratch would race); campaign workers each hold their own session.
 //
 // scan_dirty_into() is the incremental entry point: it maps the model's
 // DirtyWrite log to affected groups through each layer's GroupLayout
 // (covering interleave and skew via group_of) and rescans only those.
 // Contract: the golden codes must describe the model state at the last
 // dirty baseline (clear_dirty / restore / snapshot point) — then the
-// report equals a full scan bit for bit, at O(dirty * G) cost. When the
-// dirty-group count exceeds `full_scan_threshold` of all groups (or
-// tracking is off), it falls back to the full scan.
+// report equals a full scan bit for bit, at O(dirty * G) cost. When more
+// than a quarter of all groups are dirty (or tracking is off), it falls
+// back to the full scan: narrow scans of nearly everything are slower
+// than one streaming pass.
 #pragma once
 
 #include <cstddef>
@@ -43,12 +41,6 @@ namespace radar::core {
 
 class ScanSession {
  public:
-  /// How full scans are partitioned across pool workers.
-  enum class Sharding {
-    kLayer,      ///< legacy: one work item per layer
-    kByteRange,  ///< equal-byte group-range shards (default)
-  };
-
   /// The scheme must stay alive (and attached) for the session lifetime.
   explicit ScanSession(const IntegrityScheme& scheme,
                        std::size_t threads = 0);
@@ -60,15 +52,12 @@ class ScanSession {
   /// compute/bandwidth bound with zero blocking, so extra threads only
   /// add scheduling churn (the t1->t8 throughput collapse on small CI
   /// boxes). Requesting 8 threads on a 1-core machine therefore scans
-  /// inline; the shard plan, the merge, and the report are unaffected.
+  /// inline; the plan, the merge, and the report are unaffected.
   std::size_t effective_workers() const { return effective_workers_; }
 
-  void set_sharding(Sharding s) { sharding_ = s; }
-  Sharding sharding() const { return sharding_; }
-
-  /// Override the target shard size in bytes (0 = automatic: weight bytes
-  /// / (threads * 4), floored at 4 KiB). Exposed for benches and tests;
-  /// the report stays bit-identical for any value.
+  /// Override the target chunk size in bytes (0 = automatic: weight bytes
+  /// / (effective workers * 4), floored at 4 KiB). Exposed for benches
+  /// and tests; the report stays bit-identical for any value.
   void set_shard_bytes(std::int64_t bytes) { shard_bytes_ = bytes; }
   std::int64_t shard_bytes() const { return shard_bytes_; }
 
@@ -84,44 +73,19 @@ class ScanSession {
   void scan_dirty_into(const quant::QuantizedModel& qm,
                        DetectionReport& out) const;
 
-  /// Dirty-group fraction above which scan_dirty_into degenerates to a
-  /// full scan (narrow scans of nearly everything are slower than one
-  /// streaming pass). Default 0.25.
-  void set_full_scan_threshold(double fraction) {
-    full_scan_threshold_ = fraction;
-  }
-  double full_scan_threshold() const { return full_scan_threshold_; }
-
-  /// The byte-range shards the last pooled kByteRange scan used (exposed
-  /// for tests and benches; empty before the first such scan).
+  /// Chunks of the last full scan (exposed for tests and benches; 0
+  /// before the first one).
   std::size_t last_shard_count() const { return plan_.size(); }
 
  private:
-  /// One unit of full-scan work: groups [begin, end) of one layer.
-  struct Shard {
-    std::size_t layer;
-    std::int64_t begin, end;
-  };
-
-  /// Per-shard output slot. Cache-line aligned so two workers finishing
-  /// adjacent shards never bounce one line between cores while they
-  /// append flags / grow scratch (the headers of adjacent vectors in the
-  /// old parallel-arrays layout shared lines).
+  /// Per-chunk output slot. Cache-line aligned so two workers finishing
+  /// adjacent chunks never bounce one line between cores while they
+  /// append flags / grow scratch.
   struct alignas(64) ShardSlot {
     std::vector<std::int64_t> flags;
     ScanScratch scratch;
   };
 
-  void ensure_scratch(std::size_t num_layers) const;
-  /// Rebuild plan_ as equal-byte shards for the current model/scheme
-  /// (reuses vector capacity; no allocations at steady state).
-  void plan_shards(const quant::QuantizedModel& qm) const;
-  /// Byte-range scan: workers drain shards off an atomic index (one
-  /// submit per worker, not per shard). `pool == nullptr` drains inline.
-  void scan_sharded(const quant::QuantizedModel& qm,
-                    DetectionReport& out, ThreadPool* pool) const;
-  void scan_by_layer(const quant::QuantizedModel& qm,
-                     DetectionReport& out, ThreadPool& pool) const;
   /// The pool, spawned on first parallel use (null when the effective
   /// worker count is 1): serial sessions — and oversubscribed sessions
   /// clamped to one core — never pay for worker threads.
@@ -130,14 +94,12 @@ class ScanSession {
   const IntegrityScheme* scheme_;
   std::size_t threads_;
   std::size_t effective_workers_;
-  Sharding sharding_ = Sharding::kByteRange;
   std::int64_t shard_bytes_ = 0;  ///< 0 = automatic
   mutable std::unique_ptr<ThreadPool> pool_;
-  double full_scan_threshold_ = 0.25;
-  mutable std::vector<ScanScratch> scratch_;  ///< one per layer
+  mutable ScanScratch scratch_;  ///< incremental path (runs inline)
   mutable std::vector<std::vector<std::int64_t>> dirty_groups_;
-  mutable std::vector<Shard> plan_;
-  mutable std::vector<ShardSlot> shard_slots_;  ///< one per shard
+  mutable std::vector<ScanChunk> plan_;
+  mutable std::vector<ShardSlot> shard_slots_;  ///< one per chunk
 };
 
 }  // namespace radar::core

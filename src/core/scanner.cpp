@@ -25,9 +25,8 @@ inline std::int64_t dot_i8_i64(const std::int8_t* w, const std::int8_t* s,
   return acc;
 }
 
-/// acc[k] += w[k] * s[k] over a contiguous segment — the rotated-row
-/// accumulation step of the interleaved scan (and its range-window
-/// variant), dispatched like dot_i8_i32.
+/// acc[k] += w[k] * s[k] over a contiguous segment — the rotated-window
+/// accumulation step of the interleaved scan, dispatched like dot_i8_i32.
 inline void axpy_i8_i32(std::int32_t* acc, const std::int8_t* w,
                         const std::int8_t* s, std::int64_t n) {
   simd::axpy_i8(acc, w, s, n);
@@ -69,55 +68,6 @@ LayerScanner::LayerScanner(const GroupLayout& layout, const MaskStream& mask,
       sign_rm_[static_cast<std::size_t>(i)] = sgn;
     }
   }
-}
-
-void LayerScanner::masked_sums_into(std::span<const std::int8_t> weights,
-                                    ScanScratch& scratch) const {
-  RADAR_REQUIRE(static_cast<std::int64_t>(weights.size()) == num_weights_,
-                "weight buffer size does not match scanner");
-  const std::int64_t g = group_size_;
-  const std::int64_t ng = num_groups_;
-  scratch.sums.resize(static_cast<std::size_t>(ng));
-  const std::int8_t* w = weights.data();
-  const std::int8_t* s = sign_rm_.data();
-  if (!interleaved_) {
-    // Contiguous layout: groups are contiguous weight slices.
-    const bool wide = g > kInt32SafeGroupSize;
-    for (std::int64_t grp = 0; grp < ng; ++grp) {
-      const std::int64_t base = grp * g;
-      const std::int64_t n = std::min(g, num_weights_ - base);
-      scratch.sums[static_cast<std::size_t>(grp)] =
-          wide ? dot_i8_i64(w + base, s + base, n)
-               : static_cast<std::int64_t>(dot_i8_i32(w + base, s + base, n));
-    }
-    return;
-  }
-  if (g > kInt32SafeGroupSize) {
-    // Pathological group sizes could overflow the int32 accumulators;
-    // take the exact int64 per-group path instead.
-    for (std::int64_t grp = 0; grp < ng; ++grp)
-      scratch.sums[static_cast<std::size_t>(grp)] = group_sum(weights, grp);
-    return;
-  }
-  // Interleaved layout: within row r, index i = r*ng + c belongs to group
-  // (c + skew*r) mod ng — consecutive indices hit consecutive groups, so
-  // each row folds into the accumulator as two contiguous rotated
-  // segments. One sequential pass over weights and signs; the ng int32
-  // accumulators stay cache-hot.
-  scratch.acc.resize(static_cast<std::size_t>(ng));
-  std::int32_t* acc = scratch.acc.data();
-  std::fill(acc, acc + ng, 0);
-  for (std::int64_t row = 0; row * ng < num_weights_; ++row) {
-    const std::int64_t base = row * ng;
-    const std::int64_t len = std::min(ng, num_weights_ - base);
-    const std::int64_t off = (skew_ * row) % ng;
-    const std::int64_t first = std::min(len, ng - off);
-    axpy_i8_i32(acc + off, w + base, s + base, first);
-    axpy_i8_i32(acc, w + base + first, s + base + first, len - first);
-  }
-  for (std::int64_t grp = 0; grp < ng; ++grp)
-    scratch.sums[static_cast<std::size_t>(grp)] =
-        static_cast<std::int64_t>(acc[grp]);
 }
 
 void LayerScanner::masked_sums_range_into(
@@ -209,14 +159,14 @@ Signature LayerScanner::group_signature_at(
 std::vector<std::int64_t> LayerScanner::masked_sums(
     std::span<const std::int8_t> weights) const {
   ScanScratch scratch;
-  masked_sums_into(weights, scratch);
+  masked_sums_range_into(weights, 0, num_groups_, scratch);
   return std::move(scratch.sums);
 }
 
 std::vector<Signature> LayerScanner::scan(
     std::span<const std::int8_t> weights) const {
   ScanScratch scratch;
-  masked_sums_into(weights, scratch);
+  masked_sums_range_into(weights, 0, num_groups_, scratch);
   std::vector<Signature> out(scratch.sums.size());
   for (std::size_t g = 0; g < scratch.sums.size(); ++g)
     out[g] = binarize(scratch.sums[g], sig_bits_);

@@ -43,9 +43,6 @@ class RadarScheme : public SchemeBase {
   int signature_bits() const { return sig_bits_; }
 
   void attach(const quant::QuantizedModel& qm, bool sign = true) override;
-  void scan_layer_into(const quant::QuantizedModel& qm, std::size_t layer,
-                       std::vector<std::int64_t>& flagged,
-                       ScanScratch& scratch) const override;
   void scan_layer_groups(const quant::QuantizedModel& qm, std::size_t layer,
                          std::span<const std::int64_t> groups,
                          std::vector<std::int64_t>& flagged,
@@ -55,7 +52,6 @@ class RadarScheme : public SchemeBase {
                              std::int64_t group_end,
                              std::vector<std::int64_t>& flagged,
                              ScanScratch& scratch) const override;
-  bool supports_range_scan() const override { return true; }
   void resign_layer(const quant::QuantizedModel& qm,
                     std::size_t layer) override;
   std::int64_t signature_storage_bytes() const override;

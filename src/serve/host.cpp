@@ -402,8 +402,7 @@ core::ScanScheduler::Slice ModelHost::scan_step(Tenant& t) {
                         std::memory_order_relaxed);
   if (slice.wrapped) {
     t.sweep_end_ns.store(now_ns(), std::memory_order_relaxed);
-    t.sweep_ms.store(t.scheduler.last_sweep_ns() / 1000000,
-                     std::memory_order_relaxed);
+    t.sweep_ns.store(t.scheduler.last_sweep_ns(), std::memory_order_relaxed);
     t.coverage_alarm_armed = false;  // deadline met: re-arm the alarm
   }
 
@@ -840,11 +839,11 @@ HostStats ModelHost::stats() const {
     s.sweeps = t.sweeps.load(std::memory_order_relaxed);
     s.epoch_retries = t.epoch_retries.load(std::memory_order_relaxed);
     s.epoch_fallbacks = t.epoch_fallbacks.load(std::memory_order_relaxed);
-    s.coverage_period_ms = t.sweep_ms.load(std::memory_order_relaxed);
+    const std::int64_t sweep_ns = t.sweep_ns.load(std::memory_order_relaxed);
+    s.coverage_period_ms = sweep_ns >= 0 ? sweep_ns / 1e6 : -1.0;
     const std::int64_t sweep_end =
         t.sweep_end_ns.load(std::memory_order_relaxed);
-    s.coverage_age_ms =
-        sweep_end >= 0 ? (now_ns() - sweep_end) / 1000000 : -1;
+    s.coverage_age_ms = sweep_end >= 0 ? (now_ns() - sweep_end) / 1e6 : -1.0;
     const std::int64_t scan_ns = t.scan_ns.load(std::memory_order_relaxed);
     const std::int64_t scan_bytes =
         t.scan_bytes.load(std::memory_order_relaxed);

@@ -131,8 +131,10 @@ struct TenantStats {
   std::uint64_t shards_scanned = 0, sweeps = 0;
   std::uint64_t epoch_retries = 0, epoch_fallbacks = 0;
   // Scan QoS telemetry (see ServeOptions::scan_budget_*).
-  std::int64_t coverage_period_ms = -1;  ///< last sweep duration (-1: none)
-  std::int64_t coverage_age_ms = 0;   ///< time since last completed sweep
+  /// Last sweep duration in fractional ms (-1: none yet); a small
+  /// tenant's sub-millisecond sweep reads e.g. 0.042, never 0.
+  double coverage_period_ms = -1.0;
+  double coverage_age_ms = 0.0;  ///< time since last completed sweep, ms
   std::int64_t scan_bytes_per_sec = 0;  ///< bytes swept / scan-active time
   std::uint64_t coverage_alarms = 0;  ///< coverage deadline misses
   std::uint64_t scan_cursor = 0;  ///< sweep position (survives respawns)
@@ -304,7 +306,7 @@ class ModelHost {
     std::atomic<std::uint64_t> scan_cursor{0}, dirty_pending{0};
     std::atomic<std::int64_t> scan_bytes{0}, scan_ns{0};
     std::atomic<std::int64_t> sweep_end_ns{-1};  ///< last wrap (steady ns)
-    std::atomic<std::int64_t> sweep_ms{-1};      ///< last sweep duration
+    std::atomic<std::int64_t> sweep_ns{-1};      ///< last sweep duration
   };
 
   struct Worker {

@@ -126,6 +126,7 @@ bool DramModel::targeted_flip(std::int64_t row, std::int64_t byte_in_row,
   RADAR_REQUIRE(row >= 0 && row < total_rows(), "row out of range");
   RADAR_REQUIRE(byte_in_row >= 0 && byte_in_row < cfg_.row_bytes,
                 "byte out of range");
+  RADAR_REQUIRE(bit >= 0 && bit < 8, "bit out of range");
   // Same bookkeeping as hammer(): the attempt costs activations (default:
   // exactly the threshold) and sub-threshold pressure never flips.
   auto& count = activation_count_[static_cast<std::size_t>(row)];

@@ -122,7 +122,8 @@ class DramModel {
   /// threshold) and flip a specific bit. Sub-threshold accumulated
   /// activations never flip; past the threshold the flip succeeds with
   /// probability `placement_success` — an attacker who massages memory
-  /// layout until the target lands on a vulnerable cell.
+  /// layout until the target lands on a vulnerable cell. `bit` must be a
+  /// bit of the byte, in [0, 8).
   bool targeted_flip(std::int64_t row, std::int64_t byte_in_row, int bit,
                      double placement_success, Rng& rng,
                      std::int64_t activations = -1);

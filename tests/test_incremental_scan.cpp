@@ -57,7 +57,7 @@ void run_scan_kernel_battery(Rng& rng, int trials) {
     const int bits = rng.uniform_int(0, 1) == 0 ? 2 : 3;
     const LayerScanner scanner(layout, mask, bits);
     ScanScratch scratch;
-    scanner.masked_sums_into(ws, scratch);
+    scanner.masked_sums_range_into(ws, 0, layout.num_groups(), scratch);
     ASSERT_EQ(scratch.sums.size(),
               static_cast<std::size_t>(layout.num_groups()));
     for (std::int64_t grp = 0; grp < layout.num_groups(); ++grp) {
@@ -70,9 +70,9 @@ void run_scan_kernel_battery(Rng& rng, int trials) {
                   group_signature(ws, layout, grp, mask, bits))
           << "signature, trial " << trial << " group " << grp;
     }
-    // The byte-range sharding kernel: random group ranges must reproduce
-    // the corresponding slice of the full sums exactly (the sharded
-    // whole-model scan is bit-identical only because of this).
+    // Random sub-ranges must reproduce the corresponding slice of the
+    // whole-layer sums exactly (the chunked whole-model scan is
+    // bit-identical only because of this).
     const std::vector<std::int64_t> full_sums = scratch.sums;
     ScanScratch range_scratch;
     for (int r = 0; r < 6; ++r) {
@@ -202,19 +202,38 @@ TEST_F(IncrementalScanTest, IncrementalMatchesFullUnderAttackAndRecovery) {
   }
 }
 
-TEST_F(IncrementalScanTest, ThresholdZeroForcesFullScanPath) {
+TEST_F(IncrementalScanTest, DirtAboveAQuarterOfGroupsTakesFullScanPath) {
+  // The incremental path stays narrow for light dirt and degenerates to
+  // the full scan once more than a quarter of all groups are dirty. Only
+  // the full scan builds a chunk plan, so last_shard_count() tells the
+  // two paths apart.
   auto scheme = SchemeRegistry::instance().create(
       "radar2", SchemeParams{.group_size = 16});
   scheme->attach(qm_);
-  ScanSession session(*scheme, 1);
-  session.set_full_scan_threshold(0.0);  // every dirty scan degenerates
   qm_.set_dirty_tracking(true);
-  qm_.flip_bit(0, 5, kMsb);
   DetectionReport full, inc;
-  session.scan_into(qm_, full);
+  qm_.flip_bit(0, 5, kMsb);
+  {
+    ScanSession session(*scheme, 1);
+    session.scan_dirty_into(qm_, inc);
+    EXPECT_EQ(session.last_shard_count(), 0u) << "one dirty group";
+    session.scan_into(qm_, full);
+    EXPECT_EQ(full.flagged, inc.flagged);
+  }
+  qm_.undo_dirty();
+  // One MSB flip in every group of every layer: all groups dirty.
+  for (std::size_t li = 0; li < qm_.num_layers(); ++li) {
+    const GroupLayout& layout = scheme->layout(li);
+    for (std::int64_t g = 0; g < layout.num_groups(); ++g)
+      qm_.flip_bit(li, layout.member(g, 0), kMsb);
+  }
+  ScanSession session(*scheme, 1);
   session.scan_dirty_into(qm_, inc);
+  EXPECT_GT(session.last_shard_count(), 0u) << "every group dirty";
+  EXPECT_EQ(inc.num_flagged_groups(), scheme->total_groups());
+  session.scan_into(qm_, full);
   EXPECT_EQ(full.flagged, inc.flagged);
-  EXPECT_TRUE(inc.attack_detected());
+  qm_.undo_dirty();
   qm_.set_dirty_tracking(false);
 }
 

@@ -1,16 +1,19 @@
-// ScanSession: parallel whole-model scans must be bit-identical to the
-// serial scan, for every registered scheme, clean or corrupted — under
-// both work partitionings (legacy layer-parallel and byte-range
-// sharding) and any shard size.
+// The shared chunk plan and its two drains: plan_chunks must cover every
+// group exactly once in ascending order for any layer and chunk size, and
+// ScanSession (pooled or inline) and ScanScheduler (any budget) must
+// reproduce the serial scan bit for bit, for every registered scheme,
+// clean or corrupted.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "common/bits.h"
 #include "common/cpu_features.h"
 #include "core/protected_model.h"
+#include "core/scan_scheduler.h"
 #include "core/scan_session.h"
 #include "core/scheme_registry.h"
 
@@ -77,10 +80,10 @@ TEST_F(ScanSessionTest, ParallelEqualsSerialForEveryScheme) {
 }
 
 TEST_F(ScanSessionTest, EveryDispatchLevelMatchesScalarWholeModelScan) {
-  // Whole-model sharded scans under each supported SIMD level against
-  // the scalar-level serial scan: the dispatched row kernels, the
-  // range-window kernel taken by split shards, and the merge must agree
-  // bit for bit for every registered scheme.
+  // Whole-model chunked scans under each supported SIMD level against
+  // the scalar-level serial scan: the dispatched range kernel over whole
+  // layers and split chunks, and the merge, must agree bit for bit for
+  // every registered scheme.
   SchemeParams params;
   params.group_size = 32;
   for (const auto& id : SchemeRegistry::instance().ids()) {
@@ -133,9 +136,7 @@ TEST_F(ScanSessionTest, SerialSessionRunsWithoutPool) {
 TEST_F(ScanSessionTest, ByteRangeShardsMatchSerialAtAnyShardSize) {
   // Force shards far smaller than any layer so every layer splits into
   // many group ranges; the merged report must still equal the serial
-  // scan bit for bit, for every scheme (native range kernels for radar
-  // and grouped codes; the default trim path is covered via tiny layers
-  // that stay whole).
+  // scan bit for bit, for every scheme.
   Rng rng(0xBEEF);
   SchemeParams params;
   params.group_size = 16;
@@ -160,17 +161,18 @@ TEST_F(ScanSessionTest, ByteRangeShardsMatchSerialAtAnyShardSize) {
         EXPECT_GT(session.last_shard_count(), qm_.num_layers())
             << id << ": small shards should split layers";
     }
-    // Legacy layer-parallel partitioning stays available and identical.
+    // One chunk per layer: the layer-granular partitioning, pooled.
     ScanSession layerwise(*scheme, 4);
-    layerwise.set_sharding(ScanSession::Sharding::kLayer);
+    layerwise.set_shard_bytes(std::numeric_limits<std::int64_t>::max());
     EXPECT_EQ(serial.flagged, layerwise.scan(qm_).flagged) << id;
+    EXPECT_EQ(layerwise.last_shard_count(), qm_.num_layers()) << id;
     qm_.restore(clean);
   }
 }
 
-TEST_F(ScanSessionTest, RangeScanEqualsTrimmedFullScanPerLayer) {
+TEST_F(ScanSessionTest, RangeScanSplitsConcatenateToWholeLayerScan) {
   // scan_layer_range_into over arbitrary split points reproduces the
-  // slice of scan_layer_into for every scheme.
+  // whole-layer scan for every scheme.
   Rng rng(0x51AB);
   SchemeParams params;
   params.group_size = 8;
@@ -204,6 +206,103 @@ TEST_F(ScanSessionTest, RangeScanEqualsTrimmedFullScanPerLayer) {
       EXPECT_EQ(merged, whole) << id << " layer " << li;
     }
     // Re-attach baseline for the next scheme (weights left attacked).
+  }
+}
+
+TEST(ChunkPlan, CoversEveryGroupOnceInAscendingOrder) {
+  // Random layer sizes (random ResNet widths and depths, random group
+  // sizes) x random chunk sizes, plus the two extremes.
+  Rng rng(0xC4A9);
+  for (int trial = 0; trial < 12; ++trial) {
+    nn::ResNetSpec spec = tiny_spec();
+    spec.base_width = rng.uniform_int(1, 12);
+    spec.blocks_per_stage = {rng.uniform_int(1, 2), rng.uniform_int(1, 2)};
+    Rng init(static_cast<std::uint64_t>(trial));
+    nn::ResNet model(spec, init);
+    quant::QuantizedModel qm(model);
+    SchemeParams params;
+    params.group_size = rng.uniform_int(1, 48);
+    params.interleave = rng.uniform_int(0, 1) == 1;
+    auto scheme = SchemeRegistry::instance().create("radar2", params);
+    scheme->attach(qm);
+    std::vector<ScanChunk> plan;
+    for (const std::int64_t chunk_bytes :
+         {std::int64_t{1}, rng.uniform_int(2, 5000),
+          std::numeric_limits<std::int64_t>::max()}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " chunk_bytes " +
+                   std::to_string(chunk_bytes));
+      plan_chunks(*scheme, chunk_bytes, plan);
+      std::size_t ci = 0;
+      std::int64_t bytes = 0;
+      for (std::size_t li = 0; li < qm.num_layers(); ++li) {
+        const GroupLayout& layout = scheme->layout(li);
+        // This layer's chunks: contiguous, ascending, gap-free, non-empty.
+        std::int64_t next = 0, layer_chunks = 0;
+        for (; ci < plan.size() && plan[ci].layer == li; ++ci) {
+          ASSERT_EQ(plan[ci].begin, next);
+          ASSERT_GT(plan[ci].end, plan[ci].begin);
+          ASSERT_GE(plan[ci].bytes, 1);
+          next = plan[ci].end;
+          bytes += plan[ci].bytes;
+          ++layer_chunks;
+        }
+        ASSERT_EQ(next, layout.num_groups()) << "layer " << li;
+        if (chunk_bytes == 1)
+          EXPECT_EQ(layer_chunks, layout.num_groups()) << "one per group";
+        if (chunk_bytes == std::numeric_limits<std::int64_t>::max())
+          EXPECT_EQ(layer_chunks, 1) << "one per layer";
+      }
+      EXPECT_EQ(ci, plan.size()) << "chunks out of layer order";
+      // Chunk byte estimates round up per chunk, never below the model.
+      EXPECT_GE(bytes, qm.total_weights());
+    }
+  }
+  auto scheme = SchemeRegistry::instance().create("radar2", SchemeParams{});
+  std::vector<ScanChunk> plan;
+  EXPECT_THROW(plan_chunks(*scheme, 0, plan), InvalidArgument);
+}
+
+TEST_F(ScanSessionTest, EveryDrainOfThePlanEqualsSerialScan) {
+  // The plan's drains — ScanSession pooled and inline, at a tiny and the
+  // automatic chunk size, and ScanScheduler starved to one chunk per
+  // slice or unlimited — against scheme.scan, with planted MSB flips.
+  Rng rng(0xD7A1);
+  SchemeParams params;
+  params.group_size = 16;
+  for (const auto& id : SchemeRegistry::instance().ids()) {
+    auto scheme = SchemeRegistry::instance().create(id, params);
+    scheme->attach(qm_);
+    const quant::ArenaSnapshot clean = qm_.snapshot();
+    for (int f = 0; f < 8; ++f) {
+      const auto li = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(qm_.num_layers()) - 1));
+      qm_.flip_bit(li, rng.uniform_int(0, qm_.layer(li).size() - 1), kMsb);
+    }
+    const DetectionReport serial = scheme->scan(qm_);
+    ASSERT_TRUE(serial.attack_detected()) << id;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      for (const std::int64_t shard_bytes : {std::int64_t{96},
+                                             std::int64_t{0}}) {
+        ScanSession session(*scheme, threads);
+        session.set_shard_bytes(shard_bytes);
+        EXPECT_EQ(session.scan(qm_).flagged, serial.flagged)
+            << id << " t" << threads << " shard_bytes=" << shard_bytes;
+      }
+    }
+    for (const std::int64_t budget_bytes : {std::int64_t{1},
+                                            std::int64_t{-1}}) {
+      ScanScheduler sched;
+      sched.plan(*scheme, {.budget_bytes = budget_bytes, .chunk_bytes = 96});
+      std::size_t slices = 0;
+      while (!sched.run_slice(qm_).wrapped) ++slices;
+      EXPECT_EQ(sched.last_sweep_report().flagged, serial.flagged)
+          << id << " budget_bytes=" << budget_bytes;
+      if (budget_bytes == 1)
+        EXPECT_EQ(slices + 1, sched.num_chunks()) << id;
+      else
+        EXPECT_EQ(slices, 0u) << id;
+    }
+    qm_.restore(clean);
   }
 }
 

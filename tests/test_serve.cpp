@@ -795,6 +795,24 @@ TEST_F(ChaosServeTest, StarvedScanBudgetRaisesCoverageAlarms) {
   host.stop();
 }
 
+TEST_F(ChaosServeTest, TinyTenantCoveragePeriodIsFractionalNotZero) {
+  // A tiny tenant sweeps in well under a millisecond; the published
+  // period is fractional ms, so a completed sweep never reads 0.
+  ServeOptions opts;
+  opts.workers = 1;
+  opts.scan = true;
+  ModelHost host(opts);
+  add_two_tenants(host);
+  host.start();
+  ASSERT_TRUE(eventually(
+      20, [&] { return host.stats().tenants[0].coverage_period_ms >= 0; }))
+      << "scanner never completed a sweep";
+  const TenantStats t = host.stats().tenants[0];
+  EXPECT_GT(t.coverage_period_ms, 0.0);
+  EXPECT_GE(t.coverage_age_ms, 0.0);
+  host.stop();
+}
+
 TEST_F(ChaosServeTest, ExpiredRequestsDroppedWithoutForwardPass) {
   // One worker held busy by a slow request; a short-deadline request
   // queued behind it must be dropped, not computed.

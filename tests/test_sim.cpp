@@ -209,6 +209,18 @@ TEST(Dram, TargetedFlipRespectsPlacementProbability) {
   EXPECT_FALSE(dram.targeted_flip(1, 0, 7, 0.0, rng));
 }
 
+TEST(Dram, TargetedFlipRejectsBitOutsideByte) {
+  DramConfig cfg;
+  DramModel dram(cfg);
+  Rng rng(3);
+  EXPECT_THROW(dram.targeted_flip(1, 0, 8, 1.0, rng), InvalidArgument);
+  EXPECT_THROW(dram.targeted_flip(1, 0, -1, 1.0, rng), InvalidArgument);
+  // A rejected attempt costs no activations: the next valid one still
+  // crosses the threshold from zero.
+  EXPECT_EQ(dram.activations(1), 0);
+  EXPECT_TRUE(dram.targeted_flip(1, 0, 0, 1.0, rng));
+}
+
 TEST(Dram, DifferentSeedsGiveDifferentVulnerabilityMaps) {
   DramConfig a, b;
   a.cell_vulnerability = b.cell_vulnerability = 0.2;
@@ -233,7 +245,7 @@ TEST(Timing, CalibrationRejectsSingularSystems) {
   TimingSimulator sim;
   EXPECT_THROW(sim.calibrate_baseline(resnet20_shape(), 0.01,
                                       resnet20_shape(), 0.02),
-               radar::InvalidArgument);
+               InvalidArgument);
 }
 
 TEST(Dram, MapBufferBoundsChecked) {
@@ -241,7 +253,7 @@ TEST(Dram, MapBufferBoundsChecked) {
   DramModel dram(cfg);
   EXPECT_EQ(dram.map_buffer(0, cfg.row_bytes * 3 + 1), 4);
   EXPECT_THROW(dram.map_buffer(cfg.num_rows - 1, cfg.row_bytes * 2),
-               radar::InvalidArgument);
+               InvalidArgument);
 }
 
 TEST(Dram, FlipsLandInModelWeights) {

@@ -276,10 +276,10 @@ class InProcessBackend : public Backend {
     return host_->stats().tenants.at(tenant).last_ttd_ns;
   }
   double coverage_period_ms() override {
-    std::int64_t worst = -1;
+    double worst = -1.0;
     for (const auto& t : host_->stats().tenants)
       worst = std::max(worst, t.coverage_period_ms);
-    return static_cast<double>(worst);
+    return worst;
   }
   double scan_bytes_per_sec() override {
     std::int64_t total = 0;
