@@ -3,10 +3,12 @@
 // Two sections, both landing in BENCH_qnn.json (the inference-path
 // counterpart of BENCH_scan.json):
 //
-//  1. Kernel throughput (GMAC/s) per ResNet-20 layer shape: the
-//     pre-existing direct 7-loop convolution (conv2d_i8) vs the batched
-//     im2col + tiled int8 GEMM path (conv2d_i8_tiled), batch 8. Outputs
-//     are asserted bit-identical while timing.
+//  1. Kernel throughput (GMAC/s) per ResNet-20 layer shape: the direct
+//     7-loop convolution (direct_conv_i8, one sample per task over the
+//     global pool) vs the batched im2col + tiled int8 GEMM path
+//     (conv2d_i8_tiled_exec on the global pool), batch 8 — the engine's
+//     kReference and kBatched kernels. Outputs are asserted bit-identical
+//     before timing.
 //
 //  2. End-to-end: the trained tiny bundle's eval path (the accuracy
 //     measurements every campaign trial with eval_subset > 0 pays) run
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/thread_pool.h"
 #include "data/trainer.h"
 #include "exp/workspace.h"
 #include "qnn/engine.h"
@@ -69,33 +72,46 @@ int main() {
         c.geom.out_channels * c.geom.in_channels * c.geom.kernel *
         c.geom.kernel));
     for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-    qnn::QTensor x;
-    x.shape = {batch, c.geom.in_channels, hw, hw};
-    x.scale = 0.02f;
-    x.data.resize(static_cast<std::size_t>(x.numel()));
-    for (auto& v : x.data)
-      v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    std::vector<std::int8_t> x(
+        static_cast<std::size_t>(batch * c.geom.in_channels * hw * hw));
+    for (auto& v : x) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    const std::vector<float> scale(
+        static_cast<std::size_t>(c.geom.out_channels), 0.02f * 0.01f);
+    const nn::RequantEpilogue epi{scale.data(), nullptr, false};
+    const std::int64_t in_stride = c.geom.in_channels * hw * hw;
+    const std::int64_t out_stride = c.geom.out_channels * oh * oh;
+    ThreadPool& pool = ThreadPool::global();
+    std::vector<float> yd(static_cast<std::size_t>(batch * out_stride));
+    std::vector<float> yt(yd.size());
+    auto run_direct = [&] {
+      pool.parallel_for_chunks(
+          static_cast<std::size_t>(batch),
+          [&](std::size_t begin, std::size_t end) {
+            for (std::size_t s = begin; s < end; ++s) {
+              const auto si = static_cast<std::int64_t>(s);
+              qnn::direct_conv_i8(x.data() + si * in_stride, w.data(),
+                                  c.geom, hw, hw, epi,
+                                  yd.data() + si * out_stride);
+            }
+          });
+      g_sink = g_sink + yd[0];
+    };
+    qnn::QnnScratch scratch;
+    auto run_tiled = [&] {
+      qnn::conv2d_i8_tiled_exec(x.data(), w, c.geom, batch, hw, hw, epi,
+                                scratch, yt.data(), &pool);
+      g_sink = g_sink + yt[0];
+    };
 
     // Bit-identity first, then time each path.
-    const nn::Tensor yd = qnn::conv2d_i8(x, w, 0.01f, c.geom, {});
-    const nn::Tensor yt = qnn::conv2d_i8_tiled(x, w, 0.01f, c.geom, {});
-    const bool same =
-        yd.shape() == yt.shape() &&
-        std::memcmp(yd.data(), yt.data(),
-                    sizeof(float) * static_cast<std::size_t>(yd.numel())) == 0;
-    if (!same) {
+    run_direct();
+    run_tiled();
+    if (std::memcmp(yd.data(), yt.data(), sizeof(float) * yd.size()) != 0) {
       std::printf("  %-26s MISMATCH\n", c.name);
       return 1;
     }
-    const double ns_direct = bench::measure_ns_per_op([&] {
-      g_sink = g_sink + qnn::conv2d_i8(x, w, 0.01f, c.geom, {})[0];
-    });
-    qnn::QnnScratch scratch;
-    nn::Tensor y;
-    const double ns_tiled = bench::measure_ns_per_op([&] {
-      qnn::conv2d_i8_tiled_into(x, w, 0.01f, c.geom, {}, scratch, y);
-      g_sink = g_sink + y[0];
-    });
+    const double ns_direct = bench::measure_ns_per_op(run_direct);
+    const double ns_tiled = bench::measure_ns_per_op(run_tiled);
     std::printf("  %-26s %12.0f %12.0f %9.2f %9.2f %5.1fx\n", c.name,
                 ns_direct, ns_tiled, macs / ns_direct, macs / ns_tiled,
                 ns_direct / ns_tiled);

@@ -10,10 +10,10 @@
 #include <cstdio>
 
 #include "attack/pbfa.h"
+#include "attack/rowhammer.h"
 #include "core/protected_model.h"
 #include "core/scheme_registry.h"
 #include "data/trainer.h"
-#include "sim/dram.h"
 #include "sim/netdesc.h"
 #include "sim/timing.h"
 
@@ -42,15 +42,20 @@ int main() {
   data::train(model, dataset, tc);
   quant::QuantizedModel qm(model);
 
-  // Weights live in DRAM starting at row 64.
-  sim::DramConfig dram_cfg;
-  dram_cfg.cell_vulnerability = 2e-4;
-  sim::DramModel dram(dram_cfg);
-  const std::int64_t base_row = 64;
-  const std::int64_t rows = dram.map_buffer(base_row, qm.weight_bytes());
-  std::printf("deployed %lld int8 weights across %lld DRAM rows\n",
+  // The weight arena lives in one DRAM bank of 1 KB rows, laid out
+  // row-major from offset 0.
+  attack::RowhammerConfig rh;
+  rh.dram.banks = 1;
+  rh.dram.row_bytes = 1024;
+  rh.dram.mapping = sim::AddressMapping::kRowMajor;
+  rh.dram.cell_vulnerability = 1e-3;
+  rh.rows = 1;
+  const std::int64_t arena_bytes = qm.arena().size_bytes();
+  std::printf("deployed %lld int8 weights across %lld DRAM rows of %lld B\n",
               static_cast<long long>(qm.total_weights()),
-              static_cast<long long>(rows));
+              static_cast<long long>((arena_bytes + rh.dram.row_bytes - 1) /
+                                     rh.dram.row_bytes),
+              static_cast<long long>(rh.dram.row_bytes));
 
   // ---- Protect with RADAR ----
   // This model's layers are tiny (the fc layer has only 96 weights), so
@@ -74,27 +79,30 @@ int main() {
   data::Batch attack_batch = dataset.attack_batch(16, 5);
   const quant::ArenaSnapshot golden = qm.snapshot();
 
-  std::printf("%-6s %-22s %-10s %-12s %s\n", "tick", "event", "served",
+  std::printf("%-6s %-26s %-10s %-12s %s\n", "tick", "event", "served",
               "detected", "accuracy");
   for (int tick = 1; tick <= 8; ++tick) {
-    const char* event = "quiet";
+    char event[64] = "quiet";
     if (tick == 3 || tick == 6) {
-      // Targeted attack: PBFA picks bits; rowhammer placement succeeds
-      // with high probability per bit.
-      int landed = 0;
+      // Targeted attack: PBFA picks and commits bits; rowhammer placement
+      // of each succeeds with probability 0.9. Flips that failed placement
+      // are reverted.
+      std::size_t landed = 0;
       const attack::AttackResult plan = pbfa.run(qm, attack_batch, 3);
       for (const auto& f : plan.flips) {
-        (void)f;
-        if (dram.targeted_flip(base_row, 0, 7, 0.9, attacker_rng)) ++landed;
+        if (attacker_rng.bernoulli(0.9))
+          ++landed;
+        else
+          qm.flip_bit(f.layer, f.index, f.bit);
       }
-      // Flips that failed placement are reverted.
-      event = landed == 3 ? "PBFA via rowhammer" : "PBFA (partial)";
+      std::snprintf(event, sizeof(event), "PBFA via rowhammer %zu/%zu",
+                    landed, plan.flips.size());
     } else if (tick == 5) {
       // Blind hammering of one victim row holding weights.
-      const auto flips =
-          dram.hammer(base_row + 0, dram_cfg.hammer_threshold + 1);
-      sim::apply_dram_flips_to_model(flips, base_row, dram_cfg, qm);
-      event = "blind rowhammer";
+      const attack::AttackResult burst =
+          attack::rowhammer_attack(qm, rh, attacker_rng);
+      std::snprintf(event, sizeof(event), "blind rowhammer (%zu flips)",
+                    burst.flips.size());
     }
 
     const std::int64_t det_before = pm.detections();
@@ -106,7 +114,7 @@ int main() {
 
     const double acc = data::evaluate(
         [&](const nn::Tensor& x) { return qm.forward(x); }, dataset);
-    std::printf("%-6d %-22s %-10s %-12s %.1f%%\n", tick, event, "yes",
+    std::printf("%-6d %-26s %-10s %-12s %.1f%%\n", tick, event, "yes",
                 detected ? "YES -> recovered" : "-", 100.0 * acc);
   }
   std::printf("\ntotals: %lld scans, %lld detections, %lld groups zeroed\n",

@@ -25,7 +25,6 @@ AttackResult rowhammer_attack(quant::QuantizedModel& qm,
   sim::DramModel dram(dc);
   RADAR_REQUIRE(bytes <= dram.capacity_bytes(),
                 "weight arena does not fit the DRAM geometry");
-  dram.map_buffer(0, bytes);
 
   // Arena byte offset -> (layer, weight index). Offsets landing in the
   // inter-layer alignment padding are physically flipped but harmless —
@@ -45,7 +44,7 @@ AttackResult rowhammer_attack(quant::QuantizedModel& qm,
     const auto flips =
         dram.hammer_victim(victim, cfg.activations, cfg.double_sided, rng);
     for (const sim::DramFlip& df : flips) {
-      if (df.offset < 0 || df.offset >= bytes) continue;  // past the arena
+      if (df.offset >= bytes) continue;  // past the arena
       if (!seen.insert(df.offset * 8 + df.bit).second) continue;
       std::size_t layer = qm.num_layers();
       for (std::size_t l = 0; l < ranges.size(); ++l) {

@@ -107,21 +107,25 @@ void LayerScanner::masked_sums_range_into(
   // c = (grp - skew*r) mod ng. The range's columns form one rotated
   // window of width m per row — at most two contiguous segments, each
   // folding into the m accumulators with the same widening-add kernel as
-  // the full scan (acc index advances in lockstep with the column).
+  // the full scan (acc index advances in lockstep with the column). The
+  // window start c0 steps by -skew mod ng per row (no per-row modulo),
+  // and the wrap segment is read first so each row streams in address
+  // order. Every accumulator still gets exactly one add per row.
   scratch.acc.resize(static_cast<std::size_t>(m));
   std::int32_t* acc = scratch.acc.data();
   std::fill(acc, acc + m, 0);
-  for (std::int64_t row = 0; row * ng < num_weights_; ++row) {
-    const std::int64_t base = row * ng;
+  const std::int64_t skew = (skew_ % ng + ng) % ng;
+  std::int64_t c0 = group_begin;  // < ng: the range is non-empty
+  for (std::int64_t base = 0; base < num_weights_; base += ng) {
     const std::int64_t len = std::min(ng, num_weights_ - base);
-    // Column of the range's first group in this row.
-    const std::int64_t c0 = ((group_begin - skew_ * row) % ng + ng) % ng;
-    // Segment A: columns [c0, min(c0 + m, ng)) -> acc[0 ..).
-    const std::int64_t a_end = std::min({c0 + m, ng, len});
-    if (a_end > c0) axpy_i8_i32(acc, w + base + c0, s + base + c0, a_end - c0);
-    // Segment B (wrap): columns [0, c0 + m - ng) -> acc[ng - c0 ..).
+    // Wrap segment: columns [0, c0 + m - ng) -> acc[ng - c0 ..).
     const std::int64_t b_end = std::min(c0 + m - ng, len);
     if (b_end > 0) axpy_i8_i32(acc + (ng - c0), w + base, s + base, b_end);
+    // Main segment: columns [c0, min(c0 + m, ng)) -> acc[0 ..).
+    const std::int64_t a_end = std::min({c0 + m, ng, len});
+    if (a_end > c0) axpy_i8_i32(acc, w + base + c0, s + base + c0, a_end - c0);
+    c0 -= skew;
+    if (c0 < 0) c0 += ng;
   }
   for (std::int64_t k = 0; k < m; ++k)
     scratch.sums[static_cast<std::size_t>(k)] =

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/error.h"
 #include "common/thread_pool.h"
 
 namespace radar::qnn {
@@ -13,19 +12,6 @@ namespace {
 /// Output-channel block width of one GEMM work unit: big enough to
 /// amortize dispatch, small enough to load-balance batch x channel tiles.
 constexpr std::int64_t kCoBlock = 16;
-
-void check_conv_args(const QTensor& x, std::span<const std::int8_t> w,
-                     const ConvGeom& geom, std::span<const float> bias) {
-  RADAR_REQUIRE(x.shape.size() == 4, "conv input must be NCHW");
-  RADAR_REQUIRE(x.dim(1) == geom.in_channels, "input channel mismatch");
-  RADAR_REQUIRE(static_cast<std::int64_t>(w.size()) ==
-                    geom.out_channels * geom.in_channels * geom.kernel *
-                        geom.kernel,
-                "weight buffer size mismatch");
-  RADAR_REQUIRE(bias.empty() || static_cast<std::int64_t>(bias.size()) ==
-                                    geom.out_channels,
-                "bias size mismatch");
-}
 
 /// First xo with xo*stride - padding + kw >= 0 (clamped to [0, ow]).
 inline std::int64_t first_valid(std::int64_t padding, std::int64_t kw,
@@ -45,58 +31,6 @@ inline std::int64_t first_invalid(std::int64_t in_w, std::int64_t padding,
 }
 
 }  // namespace
-
-nn::Tensor conv2d_i8(const QTensor& x, std::span<const std::int8_t> w,
-                     float w_scale, const ConvGeom& geom,
-                     std::span<const float> bias) {
-  check_conv_args(x, w, geom, bias);
-  const std::int64_t n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-  const std::int64_t oh = geom.out_size(in_h), ow = geom.out_size(in_w);
-  RADAR_REQUIRE(oh > 0 && ow > 0, "conv output collapses to zero size");
-
-  nn::Tensor y({n, geom.out_channels, oh, ow});
-  const float rescale = x.scale * w_scale;
-  const std::int64_t in_stride = geom.in_channels * in_h * in_w;
-  const std::int64_t kk = geom.kernel * geom.kernel;
-
-  ThreadPool::global().parallel_for_chunks(
-      static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          const std::int8_t* xs =
-              x.data.data() + static_cast<std::int64_t>(s) * in_stride;
-          for (std::int64_t co = 0; co < geom.out_channels; ++co) {
-            const std::int8_t* wc = w.data() + co * geom.in_channels * kk;
-            const float b = bias.empty() ? 0.0f
-                                         : bias[static_cast<std::size_t>(co)];
-            for (std::int64_t yo = 0; yo < oh; ++yo) {
-              for (std::int64_t xo = 0; xo < ow; ++xo) {
-                std::int32_t acc = 0;
-                for (std::int64_t ci = 0; ci < geom.in_channels; ++ci) {
-                  const std::int8_t* wk = wc + ci * kk;
-                  const std::int8_t* xc = xs + ci * in_h * in_w;
-                  for (std::int64_t kh = 0; kh < geom.kernel; ++kh) {
-                    const std::int64_t yi =
-                        yo * geom.stride - geom.padding + kh;
-                    if (yi < 0 || yi >= in_h) continue;
-                    for (std::int64_t kw = 0; kw < geom.kernel; ++kw) {
-                      const std::int64_t xi =
-                          xo * geom.stride - geom.padding + kw;
-                      if (xi < 0 || xi >= in_w) continue;
-                      acc += static_cast<std::int32_t>(
-                                 xc[yi * in_w + xi]) *
-                             wk[kh * geom.kernel + kw];
-                    }
-                  }
-                }
-                y[y.idx4(static_cast<std::int64_t>(s), co, yo, xo)] =
-                    static_cast<float>(acc) * rescale + b;
-              }
-            }
-          }
-        }
-      });
-  return y;
-}
 
 void direct_conv_i8(const std::int8_t* x, const std::int8_t* w,
                     const ConvGeom& geom, std::int64_t in_h,
@@ -173,35 +107,6 @@ void im2col_i8(const std::int8_t* x, const ConvGeom& geom, std::int64_t in_h,
   }
 }
 
-void conv2d_i8_tiled_into(const QTensor& x, std::span<const std::int8_t> w,
-                          float w_scale, const ConvGeom& geom,
-                          std::span<const float> bias, QnnScratch& scratch,
-                          nn::Tensor& y) {
-  check_conv_args(x, w, geom, bias);
-  const std::int64_t n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-  const std::int64_t oh = geom.out_size(in_h), ow = geom.out_size(in_w);
-  RADAR_REQUIRE(oh > 0 && ow > 0, "conv output collapses to zero size");
-  const std::int64_t co = geom.out_channels;
-  if (y.rank() != 4 || y.dim(0) != n || y.dim(1) != co || y.dim(2) != oh ||
-      y.dim(3) != ow)
-    y = nn::Tensor({n, co, oh, ow});
-
-  // Broadcast the scalar rescale / optional bias into per-channel epilogue
-  // arrays (scratch-backed so the steady state stays allocation-free).
-  const float rescale = x.scale * w_scale;
-  float* scale = scratch.ensure(scratch.scale, static_cast<std::size_t>(co));
-  std::fill(scale, scale + co, rescale);
-  nn::RequantEpilogue epi{scale, nullptr, false};
-  if (!bias.empty()) {
-    float* eb = scratch.ensure(scratch.bias, static_cast<std::size_t>(co));
-    std::copy(bias.begin(), bias.end(), eb);
-    epi.bias = eb;
-  }
-
-  conv2d_i8_tiled_exec(x.data.data(), w, geom, n, in_h, in_w, epi, scratch,
-                       y.data(), &ThreadPool::global());
-}
-
 void conv2d_i8_tiled_exec(const std::int8_t* qx,
                           std::span<const std::int8_t> w,
                           const ConvGeom& geom, std::int64_t n,
@@ -234,46 +139,6 @@ void conv2d_i8_tiled_exec(const std::int8_t* qx,
                                       ckk, osp, osp, epi);
                }
              });
-}
-
-nn::Tensor conv2d_i8_tiled(const QTensor& x, std::span<const std::int8_t> w,
-                           float w_scale, const ConvGeom& geom,
-                           std::span<const float> bias) {
-  nn::Tensor y;
-  QnnScratch scratch;
-  conv2d_i8_tiled_into(x, w, w_scale, geom, bias, scratch, y);
-  return y;
-}
-
-nn::Tensor linear_i8(const QTensor& x, std::span<const std::int8_t> w,
-                     float w_scale, std::int64_t out_features,
-                     std::span<const float> bias) {
-  RADAR_REQUIRE(x.shape.size() == 2, "linear input must be [N, F]");
-  const std::int64_t n = x.dim(0), f = x.dim(1);
-  RADAR_REQUIRE(static_cast<std::int64_t>(w.size()) == out_features * f,
-                "weight buffer size mismatch");
-  RADAR_REQUIRE(bias.empty() ||
-                    static_cast<std::int64_t>(bias.size()) == out_features,
-                "bias size mismatch");
-  nn::Tensor y({n, out_features});
-  const std::vector<float> scale(static_cast<std::size_t>(out_features),
-                                 x.scale * w_scale);
-  const nn::RequantEpilogue epi{scale.data(),
-                                bias.empty() ? nullptr : bias.data(), false};
-  auto rows = [&](std::size_t begin, std::size_t end) {
-    nn::gemm_i8_dot(x.data.data(), w.data(), y.data(),
-                    static_cast<std::int64_t>(begin),
-                    static_cast<std::int64_t>(end), out_features, f, f, f,
-                    out_features, epi);
-  };
-  // Below this many multiply-adds the pool dispatch dominates.
-  if (n * out_features * f < (std::int64_t{1} << 15) || n == 1) {
-    rows(0, static_cast<std::size_t>(n));
-  } else {
-    ThreadPool::global().parallel_for_chunks(static_cast<std::size_t>(n),
-                                             rows);
-  }
-  return y;
 }
 
 }  // namespace radar::qnn

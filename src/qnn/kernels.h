@@ -1,18 +1,18 @@
-// Integer inference kernels: int8 x int8 -> int32 convolution and linear.
+// Integer convolution kernels: int8 x int8 -> int32 accumulation with a
+// per-output-channel requant epilogue (nn::RequantEpilogue).
 //
-// Semantics: y_real = (sum_k x_q[k] * w_q[k]) * x_scale * w_scale + bias.
-// Outputs are produced as float (the accumulator dequantized), which the
-// caller may requantize for the next layer — mirroring per-layer
-// requantization on integer NPUs/MCUs.
+// Activations arrive pre-quantized as raw int8 NCHW buffers; outputs are
+// float feature maps (the accumulator dequantized by the epilogue), which
+// the caller requantizes for the next layer — mirroring per-layer
+// requantization on integer NPUs/MCUs. The inference engine is the one
+// caller; the fully-connected head runs nn::gemm_i8_dot directly.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "nn/int8_gemm.h"
-#include "nn/tensor.h"
 #include "qnn/qnn_scratch.h"
-#include "qnn/qtensor.h"
 
 namespace radar {
 class ThreadPool;
@@ -31,20 +31,6 @@ struct ConvGeom {
   }
 };
 
-/// Integer convolution. `bias` (size Cout, may be empty) is added in real
-/// units. Returns float feature maps.
-nn::Tensor conv2d_i8(const QTensor& x, std::span<const std::int8_t> w,
-                     float w_scale, const ConvGeom& geom,
-                     std::span<const float> bias);
-
-/// Integer fully-connected layer: x [N, F] int8, w [out, F] int8.
-/// Runs through the shared int8 GEMM tile kernel, parallelized over the
-/// batch dimension on the global ThreadPool for large shapes; results are
-/// bit-identical for any thread count (exact int32 accumulation).
-nn::Tensor linear_i8(const QTensor& x, std::span<const std::int8_t> w,
-                     float w_scale, std::int64_t out_features,
-                     std::span<const float> bias);
-
 /// int8 im2col of one sample [Cin, in_h, in_w] into a row-major
 /// [Cin*K*K, OH*OW] patch matrix. The interior fast path memcpy-copies
 /// contiguous input rows (stride 1) or runs a bounds-check-free strided
@@ -53,33 +39,21 @@ void im2col_i8(const std::int8_t* x, const ConvGeom& geom, std::int64_t in_h,
                std::int64_t in_w, std::int8_t* col);
 
 /// Reference direct convolution of one sample with a per-channel requant
-/// epilogue — the pre-existing 7-deep kernel, kept as the bit-exactness
-/// baseline for the tiled path.
+/// epilogue — the 7-deep loop the engine's kReference kernel runs, and
+/// the bit-exactness baseline for the tiled path.
 void direct_conv_i8(const std::int8_t* x, const std::int8_t* w,
                     const ConvGeom& geom, std::int64_t in_h,
                     std::int64_t in_w, const nn::RequantEpilogue& epi,
                     float* y);
 
-/// Batched convolution via int8 im2col + tiled int8 GEMM with fused
-/// requant epilogue. Bit-identical to conv2d_i8 (same int32 sums, same
-/// epilogue expression). The `_into` variant draws all working memory from
-/// `scratch` and writes into a caller tensor (allocation-free after
-/// warm-up); both parallelize over batch x output-channel blocks on the
-/// global ThreadPool.
-nn::Tensor conv2d_i8_tiled(const QTensor& x, std::span<const std::int8_t> w,
-                           float w_scale, const ConvGeom& geom,
-                           std::span<const float> bias);
-void conv2d_i8_tiled_into(const QTensor& x, std::span<const std::int8_t> w,
-                          float w_scale, const ConvGeom& geom,
-                          std::span<const float> bias, QnnScratch& scratch,
-                          nn::Tensor& y);
-
-/// The one batched-conv executor both of the above and the inference
-/// engine run (so tests and benches measure the exact production kernel):
-/// pre-quantized activations `qx` ([N, Cin, in_h, in_w] int8) go through
-/// per-sample im2col, then batch x output-channel-block GEMM units with
-/// the fused epilogue, fanned out over `pool` (null or size-1 = inline,
-/// allocation-free). Writes NCHW float output into `y`.
+/// Batched convolution via int8 im2col + tiled int8 GEMM with the fused
+/// epilogue — the engine's kBatched kernel, bit-identical to
+/// direct_conv_i8 (same int32 sums, same epilogue expression).
+/// Pre-quantized activations `qx` ([N, Cin, in_h, in_w] int8) go through
+/// per-sample im2col, then batch x output-channel-block GEMM units, fanned
+/// out over `pool` (null or size-1 = inline). All working memory comes
+/// from `scratch` (allocation-free after warm-up). Writes NCHW float
+/// output into `y`.
 void conv2d_i8_tiled_exec(const std::int8_t* qx,
                           std::span<const std::int8_t> w,
                           const ConvGeom& geom, std::int64_t n,

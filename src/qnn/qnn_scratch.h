@@ -1,13 +1,12 @@
 // QnnScratch: caller-provided working memory for the quantized inference
 // hot path (the qnn counterpart of core/scan_scratch.h).
 //
-// Every allocation-free inference entry point (InferenceEngine::
-// forward_into, conv2d_i8_tiled_into) borrows its buffers from one of
-// these instead of heap-allocating per call. Buffers grow to the
-// high-water mark of the network / batch they serve and are then reused,
-// so a steady-state forward loop performs zero heap allocations (the
-// `grows` counter is the test hook for that property). A scratch object
-// is not thread-safe; use one per worker.
+// InferenceEngine::forward_into and the conv2d_i8_tiled_exec kernel it
+// runs borrow their buffers from one of these instead of heap-allocating
+// per call. Buffers grow to the high-water mark of the network / batch
+// they serve and are then reused, so a steady-state forward loop performs
+// zero heap allocations (the `grows` counter is the test hook for that
+// property). A scratch object is not thread-safe; use one per worker.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +19,6 @@ struct QnnScratch {
   std::vector<float> act[3];       ///< activation ping-pong + skip buffer
   std::vector<std::int8_t> qact;   ///< quantized input of the current op
   std::vector<std::int8_t> col;    ///< im2col patch matrices, all samples
-  std::vector<float> scale;        ///< broadcast per-channel epilogue scale
-  std::vector<float> bias;         ///< broadcast per-channel epilogue bias
   std::size_t grows = 0;           ///< buffer-growth events (warm-up ends
                                    ///< when this stops increasing)
 

@@ -817,6 +817,12 @@ std::size_t ModelHost::inject_rowhammer(std::size_t tenant, int rows,
   return made;
 }
 
+std::int64_t scan_rate_bytes_per_sec(std::int64_t bytes, std::int64_t ns) {
+  if (ns <= 0) return 0;
+  return static_cast<std::int64_t>(static_cast<double>(bytes) * 1e9 /
+                                   static_cast<double>(ns));
+}
+
 HostStats ModelHost::stats() const {
   HostStats out;
   out.scanning = scanning_.load(std::memory_order_relaxed);
@@ -847,8 +853,7 @@ HostStats ModelHost::stats() const {
     const std::int64_t scan_ns = t.scan_ns.load(std::memory_order_relaxed);
     const std::int64_t scan_bytes =
         t.scan_bytes.load(std::memory_order_relaxed);
-    s.scan_bytes_per_sec =
-        scan_ns > 0 ? scan_bytes * 1000000000 / scan_ns : 0;
+    s.scan_bytes_per_sec = scan_rate_bytes_per_sec(scan_bytes, scan_ns);
     s.coverage_alarms = t.coverage_alarms.load(std::memory_order_relaxed);
     s.scan_cursor = t.scan_cursor.load(std::memory_order_relaxed);
     s.dirty_pending = t.dirty_pending.load(std::memory_order_relaxed);

@@ -161,6 +161,11 @@ struct TenantStats {
   std::uint64_t heals = 0;     ///< times a re-open restored the mapping
 };
 
+/// Scan throughput in bytes/s: `bytes` swept over `ns` of scan-active
+/// time (0 before any scan time). Computed in double, so a long-running
+/// tenant's byte count cannot overflow the product.
+std::int64_t scan_rate_bytes_per_sec(std::int64_t bytes, std::int64_t ns);
+
 struct HostStats {
   std::vector<TenantStats> tenants;
   std::uint64_t queue_rejected = 0;  ///< open-loop pushes shed at the queue

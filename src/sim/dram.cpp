@@ -88,54 +88,6 @@ std::int64_t DramModel::global_row(const PhysAddr& a) const {
   return lin * cfg_.num_rows + a.row;
 }
 
-std::int64_t DramModel::map_buffer(std::int64_t base_row, std::int64_t bytes) {
-  RADAR_REQUIRE(bytes > 0, "cannot map an empty buffer");
-  const std::int64_t rows = (bytes + cfg_.row_bytes - 1) / cfg_.row_bytes;
-  RADAR_REQUIRE(base_row >= 0 && base_row + rows <= total_rows(),
-                "buffer does not fit in DRAM");
-  for (const auto& [b, e] : mapped_)
-    RADAR_REQUIRE(base_row + rows <= b || base_row >= e,
-                  "buffer overlaps an existing DRAM mapping");
-  mapped_.emplace_back(base_row, base_row + rows);
-  return rows;
-}
-
-std::vector<DramFlip> DramModel::hammer(std::int64_t victim_row,
-                                        std::int64_t activations) {
-  RADAR_REQUIRE(victim_row >= 0 && victim_row < total_rows(),
-                "row out of range");
-  RADAR_REQUIRE(activations >= 0, "negative activations");
-  auto& count = activation_count_[static_cast<std::size_t>(victim_row)];
-  count += activations;
-  std::vector<DramFlip> flips;
-  // Sub-threshold pressure never flips — the threshold is the physics.
-  if (count < cfg_.hammer_threshold) return flips;
-  count = 0;  // flips occurred; cells need re-hammering afterwards
-  for (std::int64_t b = 0; b < cfg_.row_bytes; ++b) {
-    for (int bit = 0; bit < 8; ++bit) {
-      if (susceptible(victim_row, b, bit))
-        flips.push_back({victim_row, b, bit, -1});
-    }
-  }
-  return flips;
-}
-
-bool DramModel::targeted_flip(std::int64_t row, std::int64_t byte_in_row,
-                              int bit, double placement_success, Rng& rng,
-                              std::int64_t activations) {
-  RADAR_REQUIRE(row >= 0 && row < total_rows(), "row out of range");
-  RADAR_REQUIRE(byte_in_row >= 0 && byte_in_row < cfg_.row_bytes,
-                "byte out of range");
-  RADAR_REQUIRE(bit >= 0 && bit < 8, "bit out of range");
-  // Same bookkeeping as hammer(): the attempt costs activations (default:
-  // exactly the threshold) and sub-threshold pressure never flips.
-  auto& count = activation_count_[static_cast<std::size_t>(row)];
-  count += activations < 0 ? cfg_.hammer_threshold : activations;
-  if (count < cfg_.hammer_threshold) return false;
-  count -= cfg_.hammer_threshold;
-  return rng.bernoulli(placement_success);
-}
-
 void DramModel::activate(const PhysAddr& aggressor,
                          std::int64_t activations) {
   RADAR_REQUIRE(activations >= 0, "negative activations");
@@ -203,28 +155,6 @@ std::vector<DramFlip> DramModel::hammer_victim(const PhysAddr& victim,
 std::int64_t DramModel::activations(std::int64_t row) const {
   RADAR_REQUIRE(row >= 0 && row < total_rows(), "row out of range");
   return activation_count_[static_cast<std::size_t>(row)];
-}
-
-std::int64_t apply_dram_flips_to_model(const std::vector<DramFlip>& flips,
-                                       std::int64_t model_base_row,
-                                       const DramConfig& cfg,
-                                       quant::QuantizedModel& qm) {
-  std::int64_t applied = 0;
-  for (const auto& f : flips) {
-    const std::int64_t flat =
-        (f.row - model_base_row) * cfg.row_bytes + f.byte_in_row;
-    if (flat < 0 || flat >= qm.total_weights()) continue;
-    // Locate (layer, index) for the flat byte offset.
-    std::int64_t rem = flat;
-    std::size_t layer = 0;
-    while (rem >= qm.layer(layer).size()) {
-      rem -= qm.layer(layer).size();
-      ++layer;
-    }
-    qm.flip_bit(layer, rem, f.bit);
-    ++applied;
-  }
-  return applied;
 }
 
 }  // namespace radar::sim

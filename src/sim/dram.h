@@ -10,30 +10,26 @@
 // with the accumulated activation pressure on its adjacent aggressors
 // (double-sided hammering pressures a victim from both rows at once).
 //
-// Two API layers coexist:
-//  - the legacy flat-row view (map_buffer / hammer / targeted_flip /
-//    apply_dram_flips_to_model) used by the edge-deployment example, where
-//    the default geometry (one channel/rank/bank) reproduces the original
-//    linear row space bit for bit, and
-//  - the physical layer (decompose / compose / hammer_victim) that the
-//    rowhammer campaign attacker drives: flips come back annotated with
-//    the arena byte offset each victim cell maps to, so bursts stay
-//    spatially correlated through any mapping function.
+// There is one API layer, the physical one (decompose / compose /
+// activate / harvest / hammer_victim), and one fault rule: activations
+// accumulate on aggressor rows, and a victim's weak cells flip through a
+// probability ramp over its neighbours' pressure. attack::rowhammer_attack
+// drives it; flips come back annotated with the arena byte offset each
+// victim cell maps to, so bursts stay spatially correlated through any
+// mapping function.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
-#include "quant/qmodel.h"
 
 namespace radar::sim {
 
 /// How arena byte offsets are placed onto the physical geometry.
 enum class AddressMapping {
   /// Linear: consecutive bytes fill a row, rows fill a bank, banks fill a
-  /// rank... One DRAM row == `row_bytes` consecutive arena bytes (the
-  /// legacy flat-row view when the geometry is 1x1x1).
+  /// rank... One DRAM row == `row_bytes` consecutive arena bytes.
   kRowMajor,
   /// Controller-style interleave: consecutive `stripe_bytes` granules
   /// rotate across every bank in the system before advancing the row, so
@@ -48,8 +44,7 @@ struct DramConfig {
   double cell_vulnerability = 5e-4;  ///< fraction of hammer-susceptible cells
   std::int64_t hammer_threshold = 50000;  ///< activations to induce flips
   std::uint64_t seed = 99;
-  // Physical organization. The defaults (one channel/rank/bank, row-major)
-  // keep the legacy flat-row behaviour exactly.
+  // Physical organization (default: one channel/rank/bank, row-major).
   std::int64_t channels = 1;
   std::int64_t ranks = 1;
   std::int64_t banks = 1;
@@ -62,14 +57,13 @@ struct DramConfig {
 };
 
 /// A bit flip that occurred in DRAM. `row` is the *global* row id
-/// (channel/rank/bank folded in; equal to the flat row for the default
-/// geometry) and `offset` is the arena byte offset the cell maps back to
-/// (-1 when produced by the legacy flat-row API).
+/// (channel/rank/bank folded in) and `offset` is the arena byte offset
+/// the cell maps back to.
 struct DramFlip {
   std::int64_t row = 0;
   std::int64_t byte_in_row = 0;
   int bit = 0;
-  std::int64_t offset = -1;
+  std::int64_t offset = 0;
 };
 
 /// A fully decomposed physical address.
@@ -105,35 +99,11 @@ class DramModel {
   /// are ordered (channel, rank, bank). Keys the activation counters.
   std::int64_t global_row(const PhysAddr& addr) const;
 
-  /// Map a weight buffer into consecutive flat rows starting at
-  /// `base_row`; returns the number of rows occupied. Rejects mappings
-  /// that fall outside the geometry or overlap an earlier mapping.
-  std::int64_t map_buffer(std::int64_t base_row, std::int64_t bytes);
-
-  // --- legacy flat-row attack surface --------------------------------
-  /// Hammer the rows adjacent to `victim_row` `activations` times. Bits
-  /// in the victim row flip where the cell is susceptible once the
-  /// accumulated count reaches the hammer threshold (and never below it).
-  std::vector<DramFlip> hammer(std::int64_t victim_row,
-                               std::int64_t activations);
-
-  /// Targeted variant (the DeepHammer-style attacker): hammer the
-  /// victim's neighbours `activations` times (default: exactly the
-  /// threshold) and flip a specific bit. Sub-threshold accumulated
-  /// activations never flip; past the threshold the flip succeeds with
-  /// probability `placement_success` — an attacker who massages memory
-  /// layout until the target lands on a vulnerable cell. `bit` must be a
-  /// bit of the byte, in [0, 8).
-  bool targeted_flip(std::int64_t row, std::int64_t byte_in_row, int bit,
-                     double placement_success, Rng& rng,
-                     std::int64_t activations = -1);
-
   // --- physical rowhammer attack surface ------------------------------
   /// One full rowhammer pass against the row addressed by `victim` (its
   /// `col` is ignored): activate the aggressor row above it — and below
   /// it too when `double_sided` — `activations` times each, then harvest
-  /// the victim's flips. Pressure accumulates across calls, like the
-  /// flat-row counters.
+  /// the victim's flips. Pressure accumulates across calls.
   std::vector<DramFlip> hammer_victim(const PhysAddr& victim,
                                       std::int64_t activations,
                                       bool double_sided, Rng& rng);
@@ -163,17 +133,7 @@ class DramModel {
   DramConfig cfg_;
   std::int64_t total_banks_ = 1;
   std::vector<std::int64_t> activation_count_;  ///< per global row
-  /// Mapped [begin, end) flat-row intervals (overlap rejection).
-  std::vector<std::pair<std::int64_t, std::int64_t>> mapped_;
   std::uint64_t salt_;
 };
-
-/// Glue: apply a set of DRAM flips to the int8 weight buffers of a model,
-/// given the row where the model's weights start. Returns the number of
-/// flips that landed inside weight storage.
-std::int64_t apply_dram_flips_to_model(const std::vector<DramFlip>& flips,
-                                       std::int64_t model_base_row,
-                                       const DramConfig& cfg,
-                                       quant::QuantizedModel& qm);
 
 }  // namespace radar::sim

@@ -6,41 +6,21 @@
 #include "data/trainer.h"
 #include "nn/fold.h"
 #include "qnn/kernels.h"
-#include "qnn/qtensor.h"
 #include "quant/qmodel.h"
 
 namespace radar::qnn {
 namespace {
 
-TEST(QTensor, QuantizeDequantizeBounded) {
-  Rng rng(1);
-  nn::Tensor x = nn::Tensor::randn({64}, rng, 2.0f);
-  const float scale = choose_activation_scale(x);
-  QTensor q = quantize_activation(x, scale);
-  nn::Tensor back = dequantize(q);
-  EXPECT_LE(nn::max_abs_diff(x, back), scale * 0.5f + 1e-6f);
-}
-
-TEST(QTensor, ClampsToSymmetricRange) {
-  nn::Tensor x = nn::Tensor::from_vector({3}, {100.0f, -100.0f, 0.0f});
-  QTensor q = quantize_activation(x, 0.1f);  // would need ±1000
-  EXPECT_EQ(q.data[0], 127);
-  EXPECT_EQ(q.data[1], -127);
-  EXPECT_EQ(q.data[2], 0);
-}
-
-TEST(QTensor, ScaleMustBePositive) {
-  nn::Tensor x({4});
-  EXPECT_THROW(quantize_activation(x, 0.0f), InvalidArgument);
-}
-
-TEST(QTensor, ZeroTensorScaleFallsBackToOne) {
-  nn::Tensor x({8});
-  EXPECT_FLOAT_EQ(choose_activation_scale(x), 1.0f);
+std::vector<std::int8_t> random_codes(std::size_t n, Rng& rng) {
+  std::vector<std::int8_t> v(n);
+  for (auto& x : v) x = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+  return v;
 }
 
 /// Integer conv must agree with the float conv applied to the
-/// dequantized operands (exactly: both compute the same polynomial).
+/// dequantized operands (exactly: both compute the same polynomial). The
+/// epilogue scale is x_scale * w_scale, so the kernel's acc * s + b is
+/// the dequantized product.
 TEST(Kernels, ConvMatchesFloatReferenceExactly) {
   Rng rng(2);
   ConvGeom geom;
@@ -51,82 +31,70 @@ TEST(Kernels, ConvMatchesFloatReferenceExactly) {
   geom.padding = 1;
 
   // Integer operands.
-  std::vector<std::int8_t> w(static_cast<std::size_t>(4 * 3 * 9));
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-  const float w_scale = 0.01f;
-  QTensor x;
-  x.shape = {2, 3, 6, 6};
-  x.scale = 0.05f;
-  x.data.resize(static_cast<std::size_t>(x.numel()));
-  for (auto& v : x.data)
-    v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-
-  nn::Tensor y_int = conv2d_i8(x, w, w_scale, geom, {});
+  const std::vector<std::int8_t> w = random_codes(4 * 3 * 9, rng);
+  const float w_scale = 0.01f, x_scale = 0.05f;
+  const std::int64_t n = 2, hw = 6;
+  const std::vector<std::int8_t> x =
+      random_codes(static_cast<std::size_t>(n * 3 * hw * hw), rng);
+  const std::vector<float> scale(4, x_scale * w_scale);
+  const nn::RequantEpilogue epi{scale.data(), nullptr, false};
+  nn::Tensor y_int({n, 4, hw, hw});
+  for (std::int64_t s = 0; s < n; ++s)
+    direct_conv_i8(x.data() + s * 3 * hw * hw, w.data(), geom, hw, hw, epi,
+                   y_int.data() + s * 4 * hw * hw);
 
   // Float reference via the training-path conv.
   nn::Conv2d conv(3, 4, 3, 1, 1, /*bias=*/false, rng);
   for (std::size_t i = 0; i < w.size(); ++i)
     conv.weight().value[static_cast<std::int64_t>(i)] =
         static_cast<float>(w[i]) * w_scale;
-  nn::Tensor y_float = conv.forward(dequantize(x), nn::Mode::kEval);
+  nn::Tensor x_float({n, 3, hw, hw});
+  for (std::int64_t i = 0; i < x_float.numel(); ++i)
+    x_float[i] = static_cast<float>(x[static_cast<std::size_t>(i)]) * x_scale;
+  nn::Tensor y_float = conv.forward(x_float, nn::Mode::kEval);
 
   EXPECT_LT(nn::max_abs_diff(y_int, y_float), 1e-4f);
 }
 
 TEST(Kernels, ConvBiasAndStride) {
-  Rng rng(3);
   ConvGeom geom;
   geom.in_channels = 2;
   geom.out_channels = 2;
   geom.kernel = 3;
   geom.stride = 2;
   geom.padding = 1;
-  std::vector<std::int8_t> w(static_cast<std::size_t>(2 * 2 * 9), 1);
-  std::vector<float> bias = {0.5f, -0.5f};
-  QTensor x;
-  x.shape = {1, 2, 5, 5};
-  x.scale = 1.0f;
-  x.data.assign(static_cast<std::size_t>(x.numel()), 0);
-  nn::Tensor y = conv2d_i8(x, w, 1.0f, geom, bias);
-  EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{1, 2, 3, 3}));
+  const std::vector<std::int8_t> w(static_cast<std::size_t>(2 * 2 * 9), 1);
+  const std::vector<float> scale(2, 1.0f), bias = {0.5f, -0.5f};
+  const std::vector<std::int8_t> x(2 * 5 * 5, 0);
+  ASSERT_EQ(geom.out_size(5), 3);
+  nn::Tensor y({1, 2, 3, 3});
+  direct_conv_i8(x.data(), w.data(), geom, 5, 5,
+                 {scale.data(), bias.data(), false}, y.data());
   EXPECT_FLOAT_EQ(y[y.idx4(0, 0, 0, 0)], 0.5f);   // all-zero input: bias
   EXPECT_FLOAT_EQ(y[y.idx4(0, 1, 2, 2)], -0.5f);
 }
 
 TEST(Kernels, LinearMatchesFloatReference) {
   Rng rng(4);
-  const std::int64_t f = 16, out = 5;
-  std::vector<std::int8_t> w(static_cast<std::size_t>(out * f));
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-  QTensor x;
-  x.shape = {3, f};
-  x.scale = 0.02f;
-  x.data.resize(static_cast<std::size_t>(x.numel()));
-  for (auto& v : x.data)
-    v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+  const std::int64_t n = 3, f = 16, out = 5;
+  const std::vector<std::int8_t> w =
+      random_codes(static_cast<std::size_t>(out * f), rng);
+  const std::vector<std::int8_t> x =
+      random_codes(static_cast<std::size_t>(n * f), rng);
+  const std::vector<float> scale(static_cast<std::size_t>(out), 0.02f * 0.03f);
+  nn::Tensor y({n, out});
+  nn::gemm_i8_dot(x.data(), w.data(), y.data(), 0, n, out, f, f, f, out,
+                  {scale.data(), nullptr, false});
 
-  nn::Tensor y = linear_i8(x, w, 0.03f, out, {});
-
-  for (std::int64_t i = 0; i < 3; ++i) {
+  for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t o = 0; o < out; ++o) {
       double acc = 0.0;
       for (std::int64_t k = 0; k < f; ++k)
-        acc += static_cast<double>(x.data[static_cast<std::size_t>(i * f + k)]) *
+        acc += static_cast<double>(x[static_cast<std::size_t>(i * f + k)]) *
                w[static_cast<std::size_t>(o * f + k)];
       EXPECT_NEAR(y[y.idx2(i, o)], acc * 0.02 * 0.03, 1e-4);
     }
   }
-}
-
-TEST(Kernels, GeometryValidation) {
-  QTensor x;
-  x.shape = {1, 2, 4, 4};
-  x.data.assign(32, 0);
-  ConvGeom geom;
-  geom.in_channels = 3;  // mismatch
-  geom.out_channels = 1;
-  std::vector<std::int8_t> w(27, 0);
-  EXPECT_THROW(conv2d_i8(x, w, 1.0f, geom, {}), InvalidArgument);
 }
 
 TEST(Fold, ConvBnFoldPreservesEvalOutput) {

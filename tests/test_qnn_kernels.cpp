@@ -1,9 +1,10 @@
 // Differential battery for the batched int8 inference engine: the tiled
-// im2col+GEMM path must match a scalar reference and the pre-existing
-// kernels BIT-exactly (int32 accumulation is exact, and both paths share
-// one epilogue expression), across random geometries, odd strides and
-// paddings, 1x1 and large kernels, and batch sizes 1..N — plus the
-// zero-allocation guarantee of the steady-state forward loop.
+// im2col+GEMM conv kernel must match a scalar reference and the direct
+// conv kernel BIT-exactly (int32 accumulation is exact, and both paths
+// share one epilogue expression), across random geometries, odd strides
+// and paddings, 1x1 and large kernels, batch sizes 1..N and every SIMD
+// dispatch level; the linear GEMM likewise — plus the zero-allocation
+// guarantee of the steady-state forward loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,28 +46,61 @@ std::vector<std::int8_t> random_codes(std::size_t n, Rng& rng) {
   return v;
 }
 
-QTensor random_qtensor(std::vector<std::int64_t> shape, float scale,
-                       Rng& rng) {
-  QTensor x;
-  x.shape = std::move(shape);
-  x.scale = scale;
-  x.data = random_codes(static_cast<std::size_t>(x.numel()), rng);
-  return x;
+/// One conv problem on raw int8 buffers: NCHW activations, [Cout, Cin,
+/// K, K] weights and an explicit per-channel requant epilogue.
+struct ConvProblem {
+  ConvGeom geom;
+  std::int64_t n = 1, h = 1, w = 1;
+  std::vector<std::int8_t> x, wt;
+  std::vector<float> scale, bias;
+  bool relu = false;
+
+  nn::RequantEpilogue epi() const {
+    return {scale.data(), bias.empty() ? nullptr : bias.data(), relu};
+  }
+  std::int64_t oh() const { return geom.out_size(h); }
+  std::int64_t ow() const { return geom.out_size(w); }
+  nn::Tensor output() const {
+    return nn::Tensor({n, geom.out_channels, oh(), ow()});
+  }
+};
+
+/// Random codes and per-channel epilogue for one geometry. Scales vary
+/// per channel (as the engine's folded BN scales do).
+ConvProblem random_problem(std::int64_t ci, std::int64_t co, std::int64_t k,
+                           std::int64_t stride, std::int64_t pad,
+                           std::int64_t h, std::int64_t w, std::int64_t n,
+                           bool with_bias, bool relu, Rng& rng) {
+  ConvProblem p;
+  p.geom.in_channels = ci;
+  p.geom.out_channels = co;
+  p.geom.kernel = k;
+  p.geom.stride = stride;
+  p.geom.padding = pad;
+  p.n = n;
+  p.h = h;
+  p.w = w;
+  p.relu = relu;
+  p.wt = random_codes(static_cast<std::size_t>(co * ci * k * k), rng);
+  for (std::int64_t c = 0; c < co; ++c) {
+    p.scale.push_back(0.0008f * (1.0f + 0.05f * static_cast<float>(c)));
+    if (with_bias) p.bias.push_back(0.1f * static_cast<float>(rng.normal()));
+  }
+  p.x = random_codes(static_cast<std::size_t>(n * ci * h * w), rng);
+  return p;
 }
 
 /// In-test scalar reference: the direct convolution polynomial with the
 /// exact epilogue expression of the kernels.
-nn::Tensor scalar_conv_ref(const QTensor& x, const std::vector<std::int8_t>& w,
-                           float w_scale, const ConvGeom& g,
-                           const std::vector<float>& bias) {
-  const std::int64_t n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-  const std::int64_t oh = g.out_size(in_h), ow = g.out_size(in_w);
-  nn::Tensor y({n, g.out_channels, oh, ow});
-  const float rescale = x.scale * w_scale;
-  for (std::int64_t s = 0; s < n; ++s) {
-    const std::int8_t* xs = x.data.data() + s * g.in_channels * in_h * in_w;
+nn::Tensor scalar_conv_ref(const ConvProblem& p) {
+  const ConvGeom& g = p.geom;
+  const std::int64_t oh = p.oh(), ow = p.ow();
+  nn::Tensor y = p.output();
+  for (std::int64_t s = 0; s < p.n; ++s) {
+    const std::int8_t* xs = p.x.data() + s * g.in_channels * p.h * p.w;
     for (std::int64_t co = 0; co < g.out_channels; ++co) {
-      const float b = bias.empty() ? 0.0f : bias[static_cast<std::size_t>(co)];
+      const auto c = static_cast<std::size_t>(co);
+      const float b = p.bias.empty() ? 0.0f : p.bias[c];
       for (std::int64_t yo = 0; yo < oh; ++yo) {
         for (std::int64_t xo = 0; xo < ow; ++xo) {
           std::int32_t acc = 0;
@@ -75,21 +109,42 @@ nn::Tensor scalar_conv_ref(const QTensor& x, const std::vector<std::int8_t>& w,
               for (std::int64_t kw = 0; kw < g.kernel; ++kw) {
                 const std::int64_t yi = yo * g.stride - g.padding + kh;
                 const std::int64_t xi = xo * g.stride - g.padding + kw;
-                if (yi < 0 || yi >= in_h || xi < 0 || xi >= in_w) continue;
+                if (yi < 0 || yi >= p.h || xi < 0 || xi >= p.w) continue;
                 acc += static_cast<std::int32_t>(
-                           xs[(ci * in_h + yi) * in_w + xi]) *
-                       w[static_cast<std::size_t>(
+                           xs[(ci * p.h + yi) * p.w + xi]) *
+                       p.wt[static_cast<std::size_t>(
                            ((co * g.in_channels + ci) * g.kernel + kh) *
                                g.kernel +
                            kw)];
               }
             }
           }
-          y[y.idx4(s, co, yo, xo)] = static_cast<float>(acc) * rescale + b;
+          const float v = static_cast<float>(acc) * p.scale[c] + b;
+          y[y.idx4(s, co, yo, xo)] = (p.relu && v < 0.0f) ? 0.0f : v;
         }
       }
     }
   }
+  return y;
+}
+
+/// direct_conv_i8 sample by sample (the engine's kReference kernel).
+nn::Tensor direct_conv(const ConvProblem& p) {
+  nn::Tensor y = p.output();
+  const std::int64_t in_stride = p.geom.in_channels * p.h * p.w;
+  const std::int64_t out_stride = p.geom.out_channels * p.oh() * p.ow();
+  for (std::int64_t s = 0; s < p.n; ++s)
+    direct_conv_i8(p.x.data() + s * in_stride, p.wt.data(), p.geom, p.h, p.w,
+                   p.epi(), y.data() + s * out_stride);
+  return y;
+}
+
+/// conv2d_i8_tiled_exec over the whole batch (the kBatched kernel).
+nn::Tensor tiled_conv(const ConvProblem& p, QnnScratch& scratch,
+                      ThreadPool* pool) {
+  nn::Tensor y = p.output();
+  conv2d_i8_tiled_exec(p.x.data(), p.wt, p.geom, p.n, p.h, p.w, p.epi(),
+                       scratch, y.data(), pool);
   return y;
 }
 
@@ -100,6 +155,16 @@ void expect_bitwise_equal(const nn::Tensor& a, const nn::Tensor& b,
                         sizeof(float) * static_cast<std::size_t>(a.numel())),
             0)
       << what << ": outputs are not bit-identical";
+}
+
+/// Every SIMD dispatch level this host supports.
+std::vector<cpu::SimdLevel> supported_levels() {
+  std::vector<cpu::SimdLevel> out;
+  for (int l = 0; l < cpu::kNumSimdLevels; ++l) {
+    const auto lvl = static_cast<cpu::SimdLevel>(l);
+    if (cpu::level_supported(lvl)) out.push_back(lvl);
+  }
+  return out;
 }
 
 TEST(TiledConv, MatchesScalarAndDirectAcrossGeometries) {
@@ -132,14 +197,10 @@ TEST(TiledConv, MatchesScalarAndDirectAcrossGeometries) {
     g.n = 1 + rng.uniform_int(0, 3);
     cases.push_back(g);
   }
+  const auto levels = supported_levels();
   QnnScratch scratch;
-  for (const Geom& c : cases) {
-    ConvGeom geom;
-    geom.in_channels = c.ci;
-    geom.out_channels = c.co;
-    geom.kernel = c.k;
-    geom.stride = c.stride;
-    geom.padding = c.pad;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Geom& c = cases[i];
     const std::string what = "ci=" + std::to_string(c.ci) + " co=" +
                              std::to_string(c.co) + " k=" +
                              std::to_string(c.k) + " s=" +
@@ -147,23 +208,20 @@ TEST(TiledConv, MatchesScalarAndDirectAcrossGeometries) {
                              std::to_string(c.pad) + " hw=" +
                              std::to_string(c.h) + "x" + std::to_string(c.w) +
                              " n=" + std::to_string(c.n);
-    const auto w = random_codes(
-        static_cast<std::size_t>(c.co * c.ci * c.k * c.k), rng);
-    std::vector<float> bias;
-    for (std::int64_t i = 0; i < c.co; ++i)
-      bias.push_back(0.1f * static_cast<float>(rng.normal()));
-    const QTensor x = random_qtensor({c.n, c.ci, c.h, c.w}, 0.04f, rng);
-    const float w_scale = 0.02f;
-
-    const nn::Tensor ref = scalar_conv_ref(x, w, w_scale, geom, bias);
-    const nn::Tensor direct = conv2d_i8(x, w, w_scale, geom, bias);
-    const nn::Tensor tiled = conv2d_i8_tiled(x, w, w_scale, geom, bias);
-    nn::Tensor tiled_into;
-    conv2d_i8_tiled_into(x, w, w_scale, geom, bias, scratch, tiled_into);
-
-    expect_bitwise_equal(ref, direct, what + " (direct)");
-    expect_bitwise_equal(ref, tiled, what + " (tiled)");
-    expect_bitwise_equal(ref, tiled_into, what + " (tiled_into)");
+    // Every other case also exercises the fused ReLU.
+    const ConvProblem p = random_problem(c.ci, c.co, c.k, c.stride, c.pad,
+                                         c.h, c.w, c.n, /*with_bias=*/true,
+                                         /*relu=*/i % 2 == 1, rng);
+    const nn::Tensor ref = scalar_conv_ref(p);
+    for (const cpu::SimdLevel lvl : levels) {
+      cpu::ScopedSimdLevel guard(lvl);
+      const std::string at = what + " level " + cpu::level_name(lvl);
+      expect_bitwise_equal(ref, direct_conv(p), at + " (direct)");
+      expect_bitwise_equal(ref, tiled_conv(p, scratch, nullptr),
+                           at + " (tiled, inline)");
+      expect_bitwise_equal(ref, tiled_conv(p, scratch, &ThreadPool::global()),
+                           at + " (tiled, global pool)");
+    }
   }
 }
 
@@ -189,73 +247,82 @@ TEST(TiledConv, EveryDispatchLevelMatchesScalar) {
   };
   QnnScratch scratch;
   for (const Geom& c : cases) {
-    ConvGeom geom;
-    geom.in_channels = c.ci;
-    geom.out_channels = c.co;
-    geom.kernel = c.k;
-    geom.stride = c.stride;
-    geom.padding = c.pad;
-    const auto w = random_codes(
-        static_cast<std::size_t>(c.co * c.ci * c.k * c.k), rng);
-    std::vector<float> bias;
-    for (std::int64_t i = 0; i < c.co; ++i)
-      bias.push_back(0.1f * static_cast<float>(rng.normal()));
-    const QTensor x = random_qtensor({c.n, c.ci, c.h, c.w}, 0.04f, rng);
+    const ConvProblem p =
+        random_problem(c.ci, c.co, c.k, c.stride, c.pad, c.h, c.w, c.n,
+                       /*with_bias=*/true, /*relu=*/false, rng);
     nn::Tensor want;
     {
       cpu::ScopedSimdLevel guard(cpu::SimdLevel::kScalar);
-      conv2d_i8_tiled_into(x, w, 0.02f, geom, bias, scratch, want);
+      want = tiled_conv(p, scratch, &ThreadPool::global());
     }
-    for (int l = 0; l < cpu::kNumSimdLevels; ++l) {
-      const auto lvl = static_cast<cpu::SimdLevel>(l);
-      if (!cpu::level_supported(lvl)) continue;
+    expect_bitwise_equal(scalar_conv_ref(p), want, "scalar level");
+    for (const cpu::SimdLevel lvl : supported_levels()) {
       cpu::ScopedSimdLevel guard(lvl);
-      nn::Tensor got;
-      conv2d_i8_tiled_into(x, w, 0.02f, geom, bias, scratch, got);
-      expect_bitwise_equal(want, got,
+      expect_bitwise_equal(want, tiled_conv(p, scratch, &ThreadPool::global()),
                            std::string("level ") + cpu::level_name(lvl));
-    }
-  }
-}
-
-TEST(LinearI8, EveryDispatchLevelMatchesScalar) {
-  Rng rng(37);
-  for (const auto& [n, f, out] :
-       std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
-           {1, 1, 1}, {3, 15, 5}, {7, 64, 9}, {5, 333, 12}}) {
-    const auto w = random_codes(static_cast<std::size_t>(out * f), rng);
-    std::vector<float> bias;
-    for (std::int64_t i = 0; i < out; ++i)
-      bias.push_back(0.1f * static_cast<float>(rng.normal()));
-    const QTensor x = random_qtensor({n, f}, 0.03f, rng);
-    nn::Tensor want;
-    {
-      cpu::ScopedSimdLevel guard(cpu::SimdLevel::kScalar);
-      want = linear_i8(x, w, 0.02f, out, bias);
-    }
-    for (int l = 0; l < cpu::kNumSimdLevels; ++l) {
-      const auto lvl = static_cast<cpu::SimdLevel>(l);
-      if (!cpu::level_supported(lvl)) continue;
-      cpu::ScopedSimdLevel guard(lvl);
-      expect_bitwise_equal(want, linear_i8(x, w, 0.02f, out, bias),
-                           std::string("f=") + std::to_string(f) +
-                               " level " + cpu::level_name(lvl));
     }
   }
 }
 
 TEST(TiledConv, NoBiasMatches) {
   Rng rng(12);
-  ConvGeom geom;
-  geom.in_channels = 3;
-  geom.out_channels = 5;
-  geom.kernel = 3;
-  geom.stride = 1;
-  geom.padding = 1;
-  const auto w = random_codes(static_cast<std::size_t>(5 * 3 * 9), rng);
-  const QTensor x = random_qtensor({2, 3, 7, 7}, 0.05f, rng);
-  expect_bitwise_equal(conv2d_i8(x, w, 0.03f, geom, {}),
-                       conv2d_i8_tiled(x, w, 0.03f, geom, {}), "no-bias");
+  const ConvProblem p = random_problem(3, 5, 3, 1, 1, 7, 7, 2,
+                                       /*with_bias=*/false,
+                                       /*relu=*/false, rng);
+  QnnScratch scratch;
+  const nn::Tensor direct = direct_conv(p);
+  expect_bitwise_equal(scalar_conv_ref(p), direct, "no-bias (direct)");
+  expect_bitwise_equal(direct, tiled_conv(p, scratch, &ThreadPool::global()),
+                       "no-bias (tiled)");
+}
+
+/// One fully-connected problem on raw buffers: x [n, f], w [out, f].
+struct LinearProblem {
+  std::int64_t n = 1, f = 1, out = 1;
+  std::vector<std::int8_t> x, w;
+  std::vector<float> scale, bias;
+
+  LinearProblem(std::int64_t n_, std::int64_t f_, std::int64_t out_, Rng& rng)
+      : n(n_), f(f_), out(out_) {
+    w = random_codes(static_cast<std::size_t>(out * f), rng);
+    for (std::int64_t i = 0; i < out; ++i) {
+      scale.push_back(0.0006f * (1.0f + 0.1f * static_cast<float>(i)));
+      bias.push_back(0.1f * static_cast<float>(rng.normal()));
+    }
+    x = random_codes(static_cast<std::size_t>(n * f), rng);
+  }
+
+  /// gemm_i8_dot over rows [0, n), issued as two row ranges split at
+  /// `split` (any split must give the same bytes).
+  nn::Tensor run(std::int64_t split) const {
+    nn::Tensor y({n, out});
+    const nn::RequantEpilogue epi{scale.data(), bias.data(), false};
+    nn::gemm_i8_dot(x.data(), w.data(), y.data(), 0, split, out, f, f, f, out,
+                    epi);
+    nn::gemm_i8_dot(x.data(), w.data(), y.data(), split, n, out, f, f, f, out,
+                    epi);
+    return y;
+  }
+};
+
+TEST(LinearI8, EveryDispatchLevelMatchesScalar) {
+  Rng rng(37);
+  for (const auto& [n, f, out] :
+       std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
+           {1, 1, 1}, {3, 15, 5}, {7, 64, 9}, {5, 333, 12}}) {
+    const LinearProblem p(n, f, out, rng);
+    nn::Tensor want;
+    {
+      cpu::ScopedSimdLevel guard(cpu::SimdLevel::kScalar);
+      want = p.run(n);
+    }
+    for (const cpu::SimdLevel lvl : supported_levels()) {
+      cpu::ScopedSimdLevel guard(lvl);
+      expect_bitwise_equal(want, p.run(n / 2),
+                           std::string("f=") + std::to_string(f) +
+                               " level " + cpu::level_name(lvl));
+    }
+  }
 }
 
 TEST(LinearI8, TiledMatchesScalarReference) {
@@ -263,23 +330,18 @@ TEST(LinearI8, TiledMatchesScalarReference) {
   for (const auto& [n, f, out] :
        std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
            {1, 5, 3}, {3, 16, 5}, {7, 33, 9}, {64, 64, 10}}) {
-    const auto w = random_codes(static_cast<std::size_t>(out * f), rng);
-    std::vector<float> bias;
-    for (std::int64_t i = 0; i < out; ++i)
-      bias.push_back(0.1f * static_cast<float>(rng.normal()));
-    const QTensor x = random_qtensor({n, f}, 0.03f, rng);
-    const float ws = 0.02f;
-    const nn::Tensor y = linear_i8(x, w, ws, out, bias);
-    const float rescale = x.scale * ws;
+    const LinearProblem p(n, f, out, rng);
+    const nn::Tensor y = p.run(n / 3);
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t o = 0; o < out; ++o) {
         std::int32_t acc = 0;
         for (std::int64_t kk = 0; kk < f; ++kk)
           acc += static_cast<std::int32_t>(
-                     x.data[static_cast<std::size_t>(i * f + kk)]) *
-                 w[static_cast<std::size_t>(o * f + kk)];
-        const float expect = static_cast<float>(acc) * rescale +
-                             bias[static_cast<std::size_t>(o)];
+                     p.x[static_cast<std::size_t>(i * f + kk)]) *
+                 p.w[static_cast<std::size_t>(o * f + kk)];
+        const auto oc = static_cast<std::size_t>(o);
+        const float expect =
+            static_cast<float>(acc) * p.scale[oc] + p.bias[oc];
         ASSERT_EQ(y[y.idx2(i, o)], expect) << "n=" << n << " o=" << o;
       }
     }

@@ -185,6 +185,13 @@ TEST(LatencyHistogram, QuantilesAndMerge) {
   EXPECT_EQ(a.snapshot().total, 0u);
 }
 
+TEST(ScanRate, LongRunningByteCountDoesNotOverflow) {
+  // 1e10 bytes * 1e9 overflows int64; the rate itself is modest.
+  EXPECT_EQ(scan_rate_bytes_per_sec(10'000'000'000LL, 20'000'000'000LL),
+            500'000'000);
+  EXPECT_EQ(scan_rate_bytes_per_sec(10'000'000'000LL, 0), 0);
+}
+
 // ---------------------------------------------------------------------
 // ModelHost end-to-end (shared fixture state: packages are signed once —
 // model construction dominates the suite's runtime otherwise).

@@ -1,8 +1,7 @@
 // Timing simulator + network descriptors + DRAM/rowhammer model.
 #include <gtest/gtest.h>
 
-#include "nn/resnet.h"
-#include "quant/qmodel.h"
+#include "common/error.h"
 #include "sim/dram.h"
 #include "sim/netdesc.h"
 #include "sim/timing.h"
@@ -177,50 +176,33 @@ TEST(Dram, SusceptibleCellsAreRareAndDeterministic) {
   EXPECT_NEAR(rate, 1e-3, 4e-4);
 }
 
-TEST(Dram, HammerRequiresThresholdActivations) {
-  DramConfig cfg;
-  cfg.cell_vulnerability = 0.01;
-  DramModel dram(cfg);
-  EXPECT_TRUE(dram.hammer(5, cfg.hammer_threshold / 2).empty());
-  EXPECT_FALSE(dram.hammer(5, cfg.hammer_threshold / 2 + 1).empty());
-}
-
-TEST(Dram, ActivationCountersAccumulateAndReset) {
+TEST(Dram, ActivationCountersAccumulateAcrossHarvests) {
   DramConfig cfg;
   cfg.cell_vulnerability = 0.05;
+  cfg.flip_ramp = 1;  // step: pressure past threshold flips every weak cell
   DramModel dram(cfg);
-  dram.hammer(9, 100);
-  dram.hammer(9, 200);
+  Rng rng(4);
+  PhysAddr aggressor, victim;
+  aggressor.row = 9;
+  victim.row = 10;
+  dram.activate(aggressor, 100);
+  dram.activate(aggressor, 200);
   EXPECT_EQ(dram.activations(9), 300);
   EXPECT_EQ(dram.activations(10), 0);
-  // Crossing the threshold flips bits and resets the counter.
-  dram.hammer(9, cfg.hammer_threshold);
-  EXPECT_EQ(dram.activations(9), 0);
+  // Counters live on the aggressor; the victim's own count stays zero and
+  // sub-threshold neighbour pressure never flips.
+  EXPECT_TRUE(dram.harvest(victim, rng).empty());
+  dram.activate(aggressor, cfg.hammer_threshold);
+  const auto flips = dram.harvest(victim, rng);
+  EXPECT_FALSE(flips.empty());
+  for (const DramFlip& f : flips) {
+    EXPECT_EQ(f.row, 10);
+    EXPECT_EQ(f.offset, 10 * cfg.row_bytes + f.byte_in_row);
+  }
+  // Harvesting consumes no pressure: the same weak cells flip again.
+  EXPECT_EQ(dram.activations(9), 300 + cfg.hammer_threshold);
+  EXPECT_EQ(dram.harvest(victim, rng).size(), flips.size());
 }
-
-TEST(Dram, TargetedFlipRespectsPlacementProbability) {
-  DramConfig cfg;
-  DramModel dram(cfg);
-  Rng rng(3);
-  int hits = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (dram.targeted_flip(1, 0, 7, 0.7, rng)) ++hits;
-  EXPECT_NEAR(hits, 700, 60);
-  EXPECT_FALSE(dram.targeted_flip(1, 0, 7, 0.0, rng));
-}
-
-TEST(Dram, TargetedFlipRejectsBitOutsideByte) {
-  DramConfig cfg;
-  DramModel dram(cfg);
-  Rng rng(3);
-  EXPECT_THROW(dram.targeted_flip(1, 0, 8, 1.0, rng), InvalidArgument);
-  EXPECT_THROW(dram.targeted_flip(1, 0, -1, 1.0, rng), InvalidArgument);
-  // A rejected attempt costs no activations: the next valid one still
-  // crosses the threshold from zero.
-  EXPECT_EQ(dram.activations(1), 0);
-  EXPECT_TRUE(dram.targeted_flip(1, 0, 0, 1.0, rng));
-}
-
 TEST(Dram, DifferentSeedsGiveDifferentVulnerabilityMaps) {
   DramConfig a, b;
   a.cell_vulnerability = b.cell_vulnerability = 0.2;
@@ -246,31 +228,6 @@ TEST(Timing, CalibrationRejectsSingularSystems) {
   EXPECT_THROW(sim.calibrate_baseline(resnet20_shape(), 0.01,
                                       resnet20_shape(), 0.02),
                InvalidArgument);
-}
-
-TEST(Dram, MapBufferBoundsChecked) {
-  DramConfig cfg;
-  DramModel dram(cfg);
-  EXPECT_EQ(dram.map_buffer(0, cfg.row_bytes * 3 + 1), 4);
-  EXPECT_THROW(dram.map_buffer(cfg.num_rows - 1, cfg.row_bytes * 2),
-               InvalidArgument);
-}
-
-TEST(Dram, FlipsLandInModelWeights) {
-  Rng rng(1);
-  nn::ResNetSpec spec;
-  spec.num_classes = 4;
-  spec.base_width = 8;
-  spec.blocks_per_stage = {1};
-  nn::ResNet model(spec, rng);
-  quant::QuantizedModel qm(model);
-
-  DramConfig cfg;
-  const std::vector<DramFlip> flips = {{0, 3, 7}, {0, 10, 6}};
-  const auto before3 = qm.get_code(0, 3);
-  const std::int64_t applied = apply_dram_flips_to_model(flips, 0, cfg, qm);
-  EXPECT_EQ(applied, 2);
-  EXPECT_EQ(static_cast<std::uint8_t>(qm.get_code(0, 3) ^ before3), 0x80);
 }
 
 DramConfig multi_bank_config() {
@@ -402,27 +359,6 @@ TEST(Dram, DoubleSidedHammeringPressuresFromBothRows) {
   EXPECT_FALSE(both.hammer_victim(victim, acts, true, rng).empty());
 }
 
-TEST(Dram, TargetedFlipSubThresholdActivationsFail) {
-  DramConfig cfg;
-  DramModel dram(cfg);
-  Rng rng(14);
-  // Explicit sub-threshold hammer counts accumulate but never flip.
-  for (int i = 0; i < 4; ++i)
-    EXPECT_FALSE(dram.targeted_flip(1, 0, 7, 1.0, rng,
-                                    cfg.hammer_threshold / 10));
-  // Topping up past the threshold finally flips.
-  EXPECT_TRUE(dram.targeted_flip(1, 0, 7, 1.0, rng, cfg.hammer_threshold));
-}
-
-TEST(Dram, MapBufferRejectsOverlap) {
-  DramConfig cfg;
-  DramModel dram(cfg);
-  EXPECT_EQ(dram.map_buffer(0, cfg.row_bytes * 2), 2);
-  EXPECT_THROW(dram.map_buffer(1, cfg.row_bytes), radar::InvalidArgument);
-  EXPECT_THROW(dram.map_buffer(0, 1), radar::InvalidArgument);
-  EXPECT_EQ(dram.map_buffer(2, cfg.row_bytes), 1);
-}
-
 TEST(Dram, HammerVictimDeterministicPerSeed) {
   DramConfig cfg = multi_bank_config();
   cfg.mapping = AddressMapping::kBankStripe;
@@ -451,19 +387,6 @@ TEST(Dram, HammerVictimDeterministicPerSeed) {
       same = same && fa[i].byte_in_row == fc[i].byte_in_row &&
              fa[i].bit == fc[i].bit;
   EXPECT_FALSE(same);
-}
-
-TEST(Dram, FlipsOutsideModelIgnored) {
-  Rng rng(2);
-  nn::ResNetSpec spec;
-  spec.num_classes = 4;
-  spec.base_width = 8;
-  spec.blocks_per_stage = {1};
-  nn::ResNet model(spec, rng);
-  quant::QuantizedModel qm(model);
-  DramConfig cfg;
-  const std::vector<DramFlip> flips = {{5000, 0, 0}};
-  EXPECT_EQ(apply_dram_flips_to_model(flips, 0, cfg, qm), 0);
 }
 
 }  // namespace
