@@ -35,10 +35,14 @@ struct Replica {
   quant::ArenaSnapshot clean;  ///< one-memcpy arena copy of the clean state
 };
 
+/// The primary replica (`primary == nullptr`) evaluates the clean
+/// accuracy and forwards on the global pool. A worker replica shares the
+/// primary's dataset, so a job renders each split at most once.
 Replica make_replica(const CampaignSpec& spec, const EvalOptions& eval,
-                     bool eval_clean = false, bool serial_engine = false) {
+                     const Replica* primary = nullptr) {
   Replica r{exp::make_bundle(spec.model, spec.train, /*eval_clean=*/false),
             {}};
+  if (primary != nullptr) r.bundle.dataset = primary->bundle.dataset;
   r.bundle.eval_batch = eval.batch;
   r.bundle.engine_kind = eval.engine;
   if (spec.eval_subset > 0) {
@@ -47,14 +51,14 @@ Replica make_replica(const CampaignSpec& spec, const EvalOptions& eval,
     // the shared global pool would make every engine sub-step a
     // cross-worker barrier (its wait() drains ALL submitters). Build
     // those engines serial up front, before ensure_engine calibrates.
-    if (serial_engine) {
+    if (primary != nullptr) {
       r.bundle.engine = std::make_unique<qnn::InferenceEngine>(
           *r.bundle.qmodel, eval.engine, /*pool=*/nullptr);
     }
     // Calibrate the int8 engine while the model is clean; trial evals
     // then run the whole eval subset as true batches through it.
     exp::ensure_engine(r.bundle);
-    if (eval_clean) {
+    if (primary == nullptr) {
       r.bundle.clean_accuracy =
           exp::accuracy_on_subset(r.bundle, r.bundle.dataset->test_size());
     }
@@ -97,7 +101,8 @@ struct EvalContext {
 
 /// Fan fn(replica, context, unit) out over `pool` in contiguous chunks
 /// (inline on `primary` when pool is null). Each chunk gets a fresh
-/// replica + context; the first exception is rethrown on the caller.
+/// replica (sharing the primary's dataset) + context; the first
+/// exception is rethrown on the caller.
 /// `images` accumulates how many test images each replica actually
 /// forwarded through the engine (timing telemetry only).
 template <typename Context, typename Fn>
@@ -116,9 +121,7 @@ void for_each_unit(std::size_t n, ThreadPool* pool, Replica& primary,
   std::atomic<bool> failed{false};
   pool->parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
     try {
-      Replica replica =
-          make_replica(spec, eval, /*eval_clean=*/false,
-                       /*serial_engine=*/true);
+      Replica replica = make_replica(spec, eval, &primary);
       Context ctx;
       for (std::size_t u = begin; u < end; ++u) fn(replica, ctx, u);
       images += replica.bundle.eval_images;
@@ -211,7 +214,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) const {
   // The primary replica is built serially first: it trains (or loads) the
   // checkpoint before worker replicas race to read it, serves as the
   // inline worker, and supplies the clean accuracy.
-  Replica primary = make_replica(spec, eval_, /*eval_clean=*/true);
+  Replica primary = make_replica(spec, eval_);
   std::unique_ptr<ThreadPool> pool;
   if (threads_ > 1) pool = std::make_unique<ThreadPool>(threads_);
   std::atomic<std::int64_t> profile_images{0}, eval_images{0};

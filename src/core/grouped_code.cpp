@@ -87,13 +87,8 @@ void GroupedCodeScheme::gather(const quant::QuantizedModel& qm,
                                std::size_t layer, std::int64_t group,
                                std::vector<std::int8_t>& block) const {
   const auto& layout = layouts_[layer];
-  const auto& q = qm.layer(layer).q;
-  block.assign(static_cast<std::size_t>(layout.group_size()), 0);
-  for (std::int64_t slot = 0; slot < layout.group_size(); ++slot) {
-    const std::int64_t i = layout.member(group, slot);
-    if (i >= 0) block[static_cast<std::size_t>(slot)] =
-        q[static_cast<std::size_t>(i)];
-  }
+  block.resize(static_cast<std::size_t>(layout.group_size()));
+  layout.gather(qm.layer(layer).q, group, block);
 }
 
 void GroupedCodeScheme::scan_layer_groups(const quant::QuantizedModel& qm,

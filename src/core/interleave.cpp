@@ -1,5 +1,7 @@
 #include "core/interleave.h"
 
+#include <algorithm>
+
 namespace radar::core {
 
 namespace {
@@ -71,6 +73,35 @@ std::vector<std::int64_t> GroupLayout::group_members(
     if (i >= 0) out.push_back(i);
   }
   return out;
+}
+
+void GroupLayout::gather(std::span<const std::int8_t> weights,
+                         std::int64_t group,
+                         std::span<std::int8_t> block) const {
+  RADAR_REQUIRE(static_cast<std::int64_t>(weights.size()) == num_weights_,
+                "weight buffer size does not match layout");
+  RADAR_REQUIRE(static_cast<std::int64_t>(block.size()) == group_size_,
+                "block size must equal the group size");
+  RADAR_REQUIRE(group >= 0 && group < num_groups_, "group out of range");
+  const std::int8_t* w = weights.data();
+  std::int8_t* out = block.data();
+  if (!interleaved_) {
+    const std::int64_t base = group * group_size_;
+    const std::int64_t n = std::min(group_size_, num_weights_ - base);
+    std::copy(w + base, w + base + n, out);
+    std::fill(out + n, out + group_size_, std::int8_t{0});
+    return;
+  }
+  // Slot r sits at column c = (group - skew*r) mod Ng of row r, so c
+  // steps by -skew mod Ng per slot.
+  const std::int64_t skew = skew_ % num_groups_;
+  std::int64_t c = group;
+  for (std::int64_t r = 0; r < group_size_; ++r) {
+    const std::int64_t i = r * num_groups_ + c;
+    out[r] = i < num_weights_ ? w[i] : std::int8_t{0};
+    c -= skew;
+    if (c < 0) c += num_groups_;
+  }
 }
 
 }  // namespace radar::core

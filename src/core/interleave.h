@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -50,6 +51,12 @@ class GroupLayout {
 
   /// All real (non-padding) original indices of a group, in slot order.
   std::vector<std::int64_t> group_members(std::int64_t group) const;
+
+  /// Copy `group`'s members of `weights` into `block` in slot order,
+  /// padding slots as 0. Equals member() slot by slot, without its
+  /// per-slot checks and modulo (the block codes' hot loop).
+  void gather(std::span<const std::int8_t> weights, std::int64_t group,
+              std::span<std::int8_t> block) const;
 
  private:
   GroupLayout(std::int64_t w, std::int64_t g, bool inter, std::int64_t skew);

@@ -38,6 +38,7 @@ SyntheticDataset::SyntheticDataset(const SyntheticSpec& spec,
     : spec_(spec) {
   RADAR_REQUIRE(spec.num_classes >= 2, "need at least two classes");
   RADAR_REQUIRE(spec.channels == 3, "generator renders RGB images");
+  RADAR_REQUIRE(n_train >= 0 && n_test >= 0, "split sizes must be >= 0");
   Rng rng(spec.seed);
   // Class signatures: spread orientations/frequencies so classes are
   // separable but overlapping in color space.
@@ -51,24 +52,26 @@ SyntheticDataset::SyntheticDataset(const SyntheticSpec& spec,
                       rng.uniform(0.3, 1.0)});
     blob_.push_back({rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)});
   }
-  Rng train_rng = rng.fork();
-  Rng test_rng = rng.fork();
-  generate_split(n_train, train_rng, train_images_, train_labels_);
-  generate_split(n_test, test_rng, test_images_, test_labels_);
+  train_.count = n_train;
+  train_.rng = rng.fork();
+  test_.count = n_test;
+  test_.rng = rng.fork();
 }
 
-void SyntheticDataset::generate_split(std::int64_t count, Rng& rng,
-                                      nn::Tensor& images,
-                                      std::vector<int>& labels) const {
-  const std::int64_t s = spec_.image_size;
-  images = nn::Tensor({count, spec_.channels, s, s});
-  labels.resize(static_cast<std::size_t>(count));
-  const std::int64_t stride = spec_.channels * s * s;
-  for (std::int64_t i = 0; i < count; ++i) {
-    const int label = static_cast<int>(i % spec_.num_classes);
-    labels[static_cast<std::size_t>(i)] = label;
-    render_sample(label, rng, images.data() + i * stride);
-  }
+const SyntheticDataset::Split& SyntheticDataset::rendered(Split& split) const {
+  std::call_once(split.once, [&] {
+    Rng rng = split.rng;
+    const std::int64_t s = spec_.image_size;
+    split.images = nn::Tensor({split.count, spec_.channels, s, s});
+    split.labels.resize(static_cast<std::size_t>(split.count));
+    const std::int64_t stride = spec_.channels * s * s;
+    for (std::int64_t i = 0; i < split.count; ++i) {
+      const int label = static_cast<int>(i % spec_.num_classes);
+      split.labels[static_cast<std::size_t>(i)] = label;
+      render_sample(label, rng, split.images.data() + i * stride);
+    }
+  });
+  return split;
 }
 
 void SyntheticDataset::render_sample(int label, Rng& rng, float* out) const {
@@ -104,6 +107,7 @@ void SyntheticDataset::render_sample(int label, Rng& rng, float* out) const {
 Batch SyntheticDataset::train_batch(std::int64_t batch_size, Rng& rng) const {
   RADAR_REQUIRE(batch_size > 0 && batch_size <= train_size(),
                 "bad train batch size");
+  const Split& train = rendered(train_);
   Batch b;
   const std::int64_t s = spec_.image_size;
   const std::int64_t stride = spec_.channels * s * s;
@@ -112,11 +116,11 @@ Batch SyntheticDataset::train_batch(std::int64_t batch_size, Rng& rng) const {
   for (std::int64_t i = 0; i < batch_size; ++i) {
     const auto idx =
         static_cast<std::int64_t>(rng.uniform_int(0, train_size() - 1));
-    std::copy(train_images_.data() + idx * stride,
-              train_images_.data() + (idx + 1) * stride,
+    std::copy(train.images.data() + idx * stride,
+              train.images.data() + (idx + 1) * stride,
               b.images.data() + i * stride);
     b.labels[static_cast<std::size_t>(i)] =
-        train_labels_[static_cast<std::size_t>(idx)];
+        train.labels[static_cast<std::size_t>(idx)];
   }
   return b;
 }
@@ -125,14 +129,15 @@ Batch SyntheticDataset::test_batch(std::int64_t start,
                                    std::int64_t count) const {
   RADAR_REQUIRE(start >= 0 && start + count <= test_size(),
                 "test batch out of range");
+  const Split& test = rendered(test_);
   Batch b;
   const std::int64_t s = spec_.image_size;
   const std::int64_t stride = spec_.channels * s * s;
   b.images = nn::Tensor({count, spec_.channels, s, s});
-  b.labels.assign(test_labels_.begin() + start,
-                  test_labels_.begin() + start + count);
-  std::copy(test_images_.data() + start * stride,
-            test_images_.data() + (start + count) * stride,
+  b.labels.assign(test.labels.begin() + start,
+                  test.labels.begin() + start + count);
+  std::copy(test.images.data() + start * stride,
+            test.images.data() + (start + count) * stride,
             b.images.data());
   return b;
 }

@@ -6,10 +6,17 @@
 // with per-sample phase, shift and pixel noise. Difficulty is controlled
 // by the noise level and class count. Everything is reproducible from the
 // spec's seed.
+//
+// Each split is rendered on its first access, from its own RNG stream
+// forked at construction, so the bytes do not depend on which split is
+// touched first, and a dataset nobody reads costs only its signatures.
+// The first touch is thread-safe: one const dataset may be shared by
+// concurrent readers (campaign worker replicas share their primary's).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -35,15 +42,17 @@ struct SyntheticSpec {
   std::string name = "synthetic";
 };
 
-/// In-memory dataset materialized from a SyntheticSpec.
+/// In-memory dataset materialized from a SyntheticSpec, one split at a
+/// time on first use.
 class SyntheticDataset {
  public:
   SyntheticDataset(const SyntheticSpec& spec, std::int64_t n_train,
                    std::int64_t n_test);
 
   const SyntheticSpec& spec() const { return spec_; }
-  std::int64_t train_size() const { return train_labels_.size(); }
-  std::int64_t test_size() const { return test_labels_.size(); }
+  /// Split sizes; neither renders anything.
+  std::int64_t train_size() const { return train_.count; }
+  std::int64_t test_size() const { return test_.count; }
 
   /// Random training minibatch (sampling driven by the caller's RNG).
   Batch train_batch(std::int64_t batch_size, Rng& rng) const;
@@ -55,11 +64,23 @@ class SyntheticDataset {
   /// gradients (paper: small set with a distribution similar to training).
   Batch attack_batch(std::int64_t batch_size, std::uint64_t seed) const;
 
-  const std::vector<int>& test_labels() const { return test_labels_; }
+  const std::vector<int>& test_labels() const {
+    return rendered(test_).labels;
+  }
 
  private:
-  void generate_split(std::int64_t count, Rng& rng, nn::Tensor& images,
-                      std::vector<int>& labels) const;
+  /// One split: its size and stream are fixed at construction, its
+  /// images and labels are filled once, by the first reader.
+  struct Split {
+    std::int64_t count = 0;
+    Rng rng;  ///< stream state before the first sample
+    std::once_flag once;
+    nn::Tensor images;
+    std::vector<int> labels;
+  };
+
+  /// `split`, rendered if this is its first access.
+  const Split& rendered(Split& split) const;
   void render_sample(int label, Rng& rng, float* out) const;
 
   SyntheticSpec spec_;
@@ -67,10 +88,8 @@ class SyntheticDataset {
   std::vector<double> theta_, freq_, phase0_;
   std::vector<std::array<double, 3>> color_;
   std::vector<std::array<double, 2>> blob_;
-  nn::Tensor train_images_;
-  std::vector<int> train_labels_;
-  nn::Tensor test_images_;
-  std::vector<int> test_labels_;
+  // Mutable: rendering on first access is not an observable change.
+  mutable Split train_, test_;
 };
 
 /// CIFAR-10 stand-in: 10 classes, 32x32x3, moderate noise.

@@ -26,7 +26,8 @@ struct ModelBundle {
   std::string id;  ///< "resnet20" | "resnet18"
   nn::ResNetSpec spec;
   std::unique_ptr<nn::ResNet> model;
-  std::unique_ptr<data::SyntheticDataset> dataset;
+  /// Immutable and rendered lazily, so replicas of one bundle share it.
+  std::shared_ptr<const data::SyntheticDataset> dataset;
   std::unique_ptr<quant::QuantizedModel> qmodel;
   double clean_accuracy = 0.0;  ///< quantized model, full test split
 

@@ -11,9 +11,12 @@ namespace radar::serve {
 
 namespace {
 
-std::uint32_t range_crc(std::span<const std::int8_t> bytes) {
-  codes::Crc crc(codes::CrcSpec::crc32());
-  return crc.compute_i8(bytes);
+/// The CRC-32 engine, built once. Its 16 KB of tables must not be built
+/// inside a SIGBUS-guarded region, where a fault's jump would skip their
+/// destructor.
+const codes::Crc& crc32() {
+  static const codes::Crc crc(codes::CrcSpec::crc32());
+  return crc;
 }
 
 }  // namespace
@@ -28,7 +31,7 @@ void GoldenGuard::build(std::span<const std::int8_t> golden,
     const auto len = static_cast<std::size_t>(
         std::min(range_bytes_, total_bytes_ - b));
     crcs_.push_back(
-        range_crc(golden.subspan(static_cast<std::size_t>(b), len)));
+        crc32().compute_i8(golden.subspan(static_cast<std::size_t>(b), len)));
   }
 }
 
@@ -43,6 +46,7 @@ bool GoldenGuard::verify_range(std::span<const std::int8_t> bytes,
     mismatches_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  const codes::Crc& crc32_engine = crc32();
   const std::size_t r0 = static_cast<std::size_t>(begin / range_bytes_);
   const std::size_t r1 = end == begin
                              ? r0
@@ -59,7 +63,8 @@ bool GoldenGuard::verify_range(std::span<const std::int8_t> bytes,
     // whole daemon dying on one bad file.
     std::uint32_t crc = 0;
     const bool readable = with_sigbus_guard([&] {
-      crc = range_crc(bytes.subspan(static_cast<std::size_t>(b), len));
+      crc = crc32_engine.compute_i8(
+          bytes.subspan(static_cast<std::size_t>(b), len));
     });
     if (!readable || crc != crcs_[r]) {
       mismatches_.fetch_add(1, std::memory_order_relaxed);

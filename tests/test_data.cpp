@@ -1,7 +1,10 @@
-// Synthetic dataset generator: determinism, balance, batching contracts.
+// Synthetic dataset generator: determinism, balance, batching contracts,
+// lazy split rendering.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "data/synthetic.h"
 
@@ -107,6 +110,84 @@ TEST(Synthetic, ClassesAreVisuallyDistinct) {
   ASSERT_GT(n_intra, 0);
   ASSERT_GT(n_inter, 0);
   EXPECT_LT(intra / n_intra, inter / n_inter);
+}
+
+/// Every byte of both splits: the whole test split, and the train split
+/// through a fixed sampling stream (train_batch is its only reader).
+struct SplitBytes {
+  Batch test, train;
+};
+
+SplitBytes read_test_first(const SyntheticDataset& d) {
+  SplitBytes out;
+  out.test = d.test_batch(0, d.test_size());
+  Rng rng(99);
+  out.train = d.train_batch(d.train_size(), rng);
+  return out;
+}
+
+SplitBytes read_train_first(const SyntheticDataset& d) {
+  SplitBytes out;
+  Rng rng(99);
+  out.train = d.train_batch(d.train_size(), rng);
+  out.test = d.test_batch(0, d.test_size());
+  return out;
+}
+
+void expect_same(const SplitBytes& a, const SplitBytes& b) {
+  EXPECT_EQ(nn::max_abs_diff(a.test.images, b.test.images), 0.0f);
+  EXPECT_EQ(a.test.labels, b.test.labels);
+  EXPECT_EQ(nn::max_abs_diff(a.train.images, b.train.images), 0.0f);
+  EXPECT_EQ(a.train.labels, b.train.labels);
+}
+
+TEST(SyntheticLazy, FirstTouchOrderDoesNotChangeBytes) {
+  const auto spec = synthetic_cifar_spec();
+  const SyntheticDataset test_first(spec, 48, 24);
+  const SyntheticDataset train_first(spec, 48, 24);
+  const SyntheticDataset attack_first(spec, 48, 24);
+  const SplitBytes a = read_test_first(test_first);
+  const SplitBytes b = read_train_first(train_first);
+  expect_same(a, b);
+  // The attack batch is the train split's only reader in a PBFA
+  // campaign: touching it first must render the same train bytes.
+  const Batch atk = attack_first.attack_batch(16, 7);
+  EXPECT_EQ(nn::max_abs_diff(atk.images,
+                             test_first.attack_batch(16, 7).images),
+            0.0f);
+  EXPECT_EQ(atk.labels, test_first.attack_batch(16, 7).labels);
+  expect_same(a, read_test_first(attack_first));
+}
+
+TEST(SyntheticLazy, ConcurrentFirstTouchSeesOneRendering) {
+  const auto spec = synthetic_cifar_spec();
+  const SyntheticDataset reference(spec, 40, 20);
+  const SplitBytes want = read_test_first(reference);
+  const SyntheticDataset shared(spec, 40, 20);
+  constexpr int kThreads = 4;
+  std::vector<SplitBytes> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    // Half the readers start on each split, so both first touches race.
+    threads.emplace_back([&shared, &got, t] {
+      got[static_cast<std::size_t>(t)] =
+          t % 2 == 0 ? read_test_first(shared) : read_train_first(shared);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const SplitBytes& g : got) expect_same(want, g);
+}
+
+TEST(SyntheticLazy, SizesMatchConstructorArguments) {
+  const auto spec = synthetic_cifar_spec();
+  const SyntheticDataset d(spec, 37, 11);
+  EXPECT_EQ(d.train_size(), 37);
+  EXPECT_EQ(d.test_size(), 11);
+  EXPECT_EQ(d.test_labels().size(), 11u);
+  const SyntheticDataset empty(spec, 0, 0);
+  EXPECT_EQ(empty.train_size(), 0);
+  EXPECT_EQ(empty.test_size(), 0);
+  EXPECT_THROW(SyntheticDataset(spec, -1, 4), InvalidArgument);
 }
 
 TEST(Synthetic, RejectsDegenerateSpecs) {

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "core/interleave.h"
 
@@ -53,6 +54,38 @@ TEST_P(LayoutSweep, GroupSizesBounded) {
   }
 }
 
+TEST_P(LayoutSweep, GatherMatchesMemberSlotBySlot) {
+  const auto [w, g, skew, inter] = GetParam();
+  const GroupLayout layout = inter ? GroupLayout::interleaved(w, g, skew)
+                                   : GroupLayout::contiguous(w, g);
+  // Distinct nonzero bytes, so a wrong index or a nonzero pad shows.
+  std::vector<std::int8_t> weights(static_cast<std::size_t>(w));
+  for (std::int64_t i = 0; i < w; ++i)
+    weights[static_cast<std::size_t>(i)] =
+        static_cast<std::int8_t>(1 + i % 127);
+  std::vector<std::int8_t> block(static_cast<std::size_t>(g), -1);
+  for (std::int64_t grp = 0; grp < layout.num_groups(); ++grp) {
+    layout.gather(weights, grp, block);
+    for (std::int64_t slot = 0; slot < g; ++slot) {
+      const std::int64_t i = layout.member(grp, slot);
+      const std::int8_t want =
+          i < 0 ? std::int8_t{0} : weights[static_cast<std::size_t>(i)];
+      ASSERT_EQ(block[static_cast<std::size_t>(slot)], want)
+          << "group " << grp << " slot " << slot;
+    }
+  }
+}
+
+TEST(GroupLayout, GatherRejectsBadArguments) {
+  const GroupLayout layout = GroupLayout::interleaved(20, 8, 3);
+  std::vector<std::int8_t> weights(20), block(8), short_block(7);
+  EXPECT_THROW(layout.gather(weights, 3, block), InvalidArgument);
+  EXPECT_THROW(layout.gather(weights, -1, block), InvalidArgument);
+  EXPECT_THROW(layout.gather(weights, 0, short_block), InvalidArgument);
+  std::vector<std::int8_t> other(19);
+  EXPECT_THROW(layout.gather(other, 0, block), InvalidArgument);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LayoutSweep,
     ::testing::Values(
@@ -64,7 +97,12 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(512, 512, 3, true), std::make_tuple(512, 1024, 3, true),
         std::make_tuple(4096, 64, 7, true), std::make_tuple(4097, 64, 3, true),
         std::make_tuple(270896, 512, 3, true),
-        std::make_tuple(65536, 256, 5, false)));
+        std::make_tuple(65536, 256, 5, false),
+        // Ng < skew (skew mod Ng = 1 and 4), Ng == skew, Ng == 1 with
+        // padding, contiguous with padding.
+        std::make_tuple(20, 16, 3, true), std::make_tuple(50, 8, 11, true),
+        std::make_tuple(40, 16, 3, true), std::make_tuple(10, 16, 3, true),
+        std::make_tuple(10, 16, 3, false)));
 
 TEST(GroupLayout, ContiguousGroupsAreRuns) {
   const GroupLayout layout = GroupLayout::contiguous(64, 8);
