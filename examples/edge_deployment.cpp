@@ -11,9 +11,9 @@
 
 #include "attack/pbfa.h"
 #include "attack/rowhammer.h"
-#include "core/protected_model.h"
 #include "core/scheme_registry.h"
 #include "data/trainer.h"
+#include "qnn/engine.h"
 #include "sim/netdesc.h"
 #include "sim/timing.h"
 
@@ -67,9 +67,17 @@ int main() {
   params.group_size = 16;
   auto scheme = core::SchemeRegistry::instance().create("radar3", params);
   scheme->attach(qm);
-  core::ProtectedModel pm(qm, *scheme);
   std::printf("RADAR attached: %lld signature bytes in on-chip SRAM\n\n",
               static_cast<long long>(scheme->signature_storage_bytes()));
+
+  // The int8 engine serves the requests; its activation scales are
+  // calibrated once, on the clean weights.
+  qnn::InferenceEngine engine(qm);
+  engine.calibrate(dataset.test_batch(0, 64).images);
+  qnn::QnnScratch scratch;
+  nn::Tensor logits;
+  core::DetectionReport detection;
+  std::int64_t served = 0, detections = 0, groups_zeroed = 0;
 
   // ---- Serving loop under attack ----
   // The attacker alternates between blind hammering (soft-error-like
@@ -105,22 +113,26 @@ int main() {
                     burst.flips.size());
     }
 
-    const std::int64_t det_before = pm.detections();
     data::Batch req = dataset.test_batch((tick * 16) % 256, 16);
     // Verified inference with the paper's per-layer embedding: each
     // weight tensor is checked on its fetch, right before use.
-    pm.forward_layerwise(req.images);
-    const bool detected = pm.detections() > det_before;
+    engine.forward_verified_into(req.images, *scheme,
+                                 core::RecoveryPolicy::kZeroOut, scratch,
+                                 logits, detection);
+    ++served;
+    const bool detected = detection.attack_detected();
+    detections += detected ? 1 : 0;
+    groups_zeroed += detection.num_flagged_groups();
 
-    const double acc = data::evaluate(
-        [&](const nn::Tensor& x) { return qm.forward(x); }, dataset);
+    const double acc = data::evaluate(engine, dataset);
     std::printf("%-6d %-26s %-10s %-12s %.1f%%\n", tick, event, "yes",
                 detected ? "YES -> recovered" : "-", 100.0 * acc);
   }
-  std::printf("\ntotals: %lld scans, %lld detections, %lld groups zeroed\n",
-              static_cast<long long>(pm.scans()),
-              static_cast<long long>(pm.detections()),
-              static_cast<long long>(pm.groups_recovered()));
+  std::printf("\ntotals: %lld verified requests, %lld detections, "
+              "%lld groups zeroed\n",
+              static_cast<long long>(served),
+              static_cast<long long>(detections),
+              static_cast<long long>(groups_zeroed));
   qm.restore(golden);
 
   // ---- Timing budget at paper scale ----

@@ -5,13 +5,15 @@
 //   3. Attach a RadarScheme: interleaved groups, masked addition
 //      checksums, 2-bit golden signatures.
 //   4. Simulate a PBFA-style adversary flipping MSBs at run time.
-//   5. Watch ProtectedModel detect the attack and recover accuracy.
+//   5. Run verified inference: each layer is checked when the int8
+//      engine fetches its weights, so the attack is detected and the
+//      corrupted groups are zeroed before they are used.
 #include <cstdio>
 
 #include "attack/pbfa.h"
-#include "core/protected_model.h"
 #include "core/scheme_registry.h"
 #include "data/trainer.h"
+#include "qnn/engine.h"
 
 int main() {
   using namespace radar;
@@ -56,15 +58,13 @@ int main() {
   std::printf("golden signatures: %lld bytes of secure on-chip storage\n",
               static_cast<long long>(scheme->signature_storage_bytes()));
 
-  core::ProtectedModel protected_model(qm, *scheme);
-  protected_model.set_alarm([](const core::DetectionReport& r) {
-    std::printf("  !! alarm: %lld group(s) corrupted\n",
-                static_cast<long long>(r.num_flagged_groups()));
-  });
+  // The int8 inference engine runs the deployed weights. Its activation
+  // scales are calibrated once, on the clean model.
+  qnn::InferenceEngine engine(qm);
+  engine.calibrate(dataset.test_batch(0, 64).images);
 
   auto accuracy = [&](const char* when) {
-    const double acc = data::evaluate(
-        [&](const nn::Tensor& x) { return qm.forward(x); }, dataset);
+    const double acc = data::evaluate(engine, dataset);
     std::printf("%-28s %.1f%%\n", when, 100.0 * acc);
     return acc;
   };
@@ -78,12 +78,21 @@ int main() {
               atk.flips.size(), atk.loss_before, atk.loss_after);
   accuracy("accuracy (after attack):");
 
-  // 5. Verified inference: scan -> recover -> forward.
+  // 5. Verified inference: each layer is scanned on its fetch, and
+  // flagged groups are zeroed (and re-signed) before the layer runs.
   data::Batch probe = dataset.test_batch(0, 4);
-  protected_model.forward(probe.images);
-  std::printf("detections: %lld, groups recovered: %lld\n",
-              static_cast<long long>(protected_model.detections()),
-              static_cast<long long>(protected_model.groups_recovered()));
+  qnn::QnnScratch scratch;
+  nn::Tensor logits;
+  core::DetectionReport detection;
+  engine.forward_verified_into(probe.images, *scheme,
+                               core::RecoveryPolicy::kZeroOut, scratch,
+                               logits, detection);
+  if (detection.attack_detected())
+    std::printf("  !! alarm: %lld group(s) corrupted\n",
+                static_cast<long long>(detection.num_flagged_groups()));
+  std::printf("detections: %d, groups recovered: %lld\n",
+              detection.attack_detected() ? 1 : 0,
+              static_cast<long long>(detection.num_flagged_groups()));
   accuracy("accuracy (after recovery):");
   return 0;
 }

@@ -46,7 +46,7 @@ struct AttackerSpec {
   std::string kind = "random_msb";
   int flips = 10;  ///< committed flips (primary flips for knowledgeable)
   /// PBFA only: admissible bit positions (empty = all 8).
-  std::vector<int> allowed_bits;
+  std::vector<int> allowed_bits{};
   /// Knowledgeable only: the attacker's guess of the defender's G.
   std::int64_t assumed_group_size = 512;
   /// PBFA / knowledgeable: gradient-estimation batch size.

@@ -265,8 +265,25 @@ void InferenceEngine::run_linear(Op& op, std::int64_t n,
     rows(0, static_cast<std::size_t>(n));
 }
 
+void InferenceEngine::verify_layer(std::size_t qlayer, const Verify& verify,
+                                   QnnScratch& scratch) {
+  verify.scheme.scan_layer_into(*model_, qlayer, scratch.flagged,
+                                scratch.scan);
+  if (scratch.flagged.empty()) return;
+  core::DetectionReport fetched;
+  fetched.flagged.resize(model_->num_layers());
+  fetched.flagged[qlayer] = scratch.flagged;
+  verify.scheme.recover(*model_, fetched, verify.policy);
+  // Re-sign only this layer: later layers are not yet checked on this
+  // pass and must not have tampered state blessed as golden.
+  if (verify.policy == core::RecoveryPolicy::kZeroOut)
+    verify.scheme.resign_layer(*model_, qlayer);
+  verify.report.flagged[qlayer] = std::move(fetched.flagged[qlayer]);
+}
+
 void InferenceEngine::run(const nn::Tensor& x, QnnScratch& scratch,
-                          nn::Tensor& logits, bool calibrating) {
+                          nn::Tensor& logits, bool calibrating,
+                          const Verify* verify) {
   RADAR_REQUIRE(x.rank() == 4, "qnn engine input must be NCHW");
   RADAR_REQUIRE(x.dim(1) == in_channels_, "input channel mismatch");
   const std::int64_t n = x.dim(0);
@@ -288,6 +305,7 @@ void InferenceEngine::run(const nn::Tensor& x, QnnScratch& scratch,
       case Op::Kind::kConv: {
         RADAR_REQUIRE(C[op.src] == op.geom.in_channels,
                       "conv channel mismatch in op program");
+        if (verify != nullptr) verify_layer(op.qlayer, *verify, scratch);
         run_conv(op, n, H[op.src], W[op.src], scratch, calibrating);
         C[op.dst] = op.geom.out_channels;
         H[op.dst] = op.geom.out_size(H[op.src]);
@@ -363,6 +381,7 @@ void InferenceEngine::run(const nn::Tensor& x, QnnScratch& scratch,
           H[op.dst] = W[op.dst] = 1;
           final_buf = op.dst;
         }
+        if (verify != nullptr) verify_layer(op.qlayer, *verify, scratch);
         run_linear(op, n, f, scratch.act[op.src].data(), out, scratch,
                    calibrating);
         if (op.dst < 0) return;
@@ -391,6 +410,26 @@ void InferenceEngine::forward_into(const nn::Tensor& x, QnnScratch& scratch,
                                    nn::Tensor& logits) {
   RADAR_REQUIRE(calibrated_, "qnn engine: calibrate() before forward");
   run(x, scratch, logits, /*calibrating=*/false);
+}
+
+void InferenceEngine::forward_verified_into(const nn::Tensor& x,
+                                            core::IntegrityScheme& scheme,
+                                            core::RecoveryPolicy policy,
+                                            QnnScratch& scratch,
+                                            nn::Tensor& logits,
+                                            core::DetectionReport& report) {
+  RADAR_REQUIRE(calibrated_, "qnn engine: calibrate() before forward");
+  RADAR_REQUIRE(scheme.attached(), "verified forward: scheme not attached");
+  const std::size_t layers = model_->num_layers();
+  RADAR_REQUIRE(scheme.num_layers() == layers,
+                "verified forward: scheme attached to another model");
+  for (std::size_t li = 0; li < layers; ++li)
+    RADAR_REQUIRE(scheme.layout(li).num_weights() == model_->layer(li).size(),
+                  "verified forward: scheme attached to another model");
+  report.flagged.resize(layers);
+  for (auto& f : report.flagged) f.clear();
+  const Verify verify{scheme, policy, report};
+  run(x, scratch, logits, /*calibrating=*/false, &verify);
 }
 
 nn::Tensor InferenceEngine::forward(const nn::Tensor& x) {

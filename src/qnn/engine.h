@@ -27,11 +27,22 @@
 // forward_into draws every intermediate buffer from a caller QnnScratch:
 // after warm-up (first call at the largest batch size) the steady-state
 // forward loop performs zero heap allocations.
+//
+// forward_verified_into is the paper's embedding of RADAR in the inference
+// stage (§IV): the same op loop, but before each conv / linear op fetches
+// its weights the integrity scheme rescans that layer, recovers any
+// flagged groups in place and only then lets the op read them. On clean
+// weights its logits equal forward_into's bit for bit, and it stays
+// allocation-free after warm-up. Recovery WRITES the model's weights, so
+// a verified forward must not run concurrently with any other forward or
+// scan of the same model; the serve daemon instead keeps forward_into on
+// the request path and verifies from its background scanner.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/integrity_scheme.h"
 #include "nn/int8_gemm.h"
 #include "nn/tensor.h"
 #include "qnn/kernels.h"
@@ -80,6 +91,15 @@ class InferenceEngine {
   void forward_into(const nn::Tensor& x, QnnScratch& scratch,
                     nn::Tensor& logits);
 
+  /// forward_into with verify-on-fetch (see the file comment): flagged
+  /// groups are recovered under `policy` (kZeroOut also re-signs that
+  /// layer) and recorded in `report`, one entry per layer. `scheme` must
+  /// be attached to a model with this engine's layer geometry.
+  void forward_verified_into(const nn::Tensor& x,
+                             core::IntegrityScheme& scheme,
+                             core::RecoveryPolicy policy, QnnScratch& scratch,
+                             nn::Tensor& logits, core::DetectionReport& report);
+
   /// Convenience wrapper (allocates a scratch + logits).
   nn::Tensor forward(const nn::Tensor& x);
 
@@ -104,12 +124,21 @@ class InferenceEngine {
     int dst = 0;                   ///< output buffer id (-1 = logits)
   };
 
+  /// The per-fetch check of a verified forward (null: plain forward).
+  struct Verify {
+    core::IntegrityScheme& scheme;
+    core::RecoveryPolicy policy;
+    core::DetectionReport& report;
+  };
+
   void compile(nn::Sequential& net);
   void push_conv(nn::Conv2d& conv, nn::BatchNorm2d* bn, bool relu, int src,
                  int dst);
   std::size_t qlayer_of(const nn::Param& weight) const;
   void run(const nn::Tensor& x, QnnScratch& scratch, nn::Tensor& logits,
-           bool calibrating);
+           bool calibrating, const Verify* verify = nullptr);
+  void verify_layer(std::size_t qlayer, const Verify& verify,
+                    QnnScratch& scratch);
   void run_conv(Op& op, std::int64_t n, std::int64_t in_h, std::int64_t in_w,
                 QnnScratch& scratch, bool calibrating);
   void run_linear(Op& op, std::int64_t n, std::int64_t in_features,

@@ -52,6 +52,11 @@ std::size_t ModelHost::add_tenant(const TenantConfig& cfg) {
   // overwrites every weight — so skip training and clean-accuracy eval.
   t->bundle = exp::make_bundle(cfg.model_id, /*train=*/false,
                                /*eval_clean=*/false);
+  // The dataset is immutable and depends only on the model id: tenants of
+  // one model share the first one's (its test split is rendered once).
+  for (const auto& other : tenants_)
+    if (other->cfg.model_id == cfg.model_id)
+      t->bundle.dataset = other->bundle.dataset;
 
   core::PackageLoadOptions load_opts;
   load_opts.threads = 1;

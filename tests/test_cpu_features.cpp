@@ -28,8 +28,9 @@ std::vector<cpu::SimdLevel> supported_levels() {
 TEST(CpuFeatures, ScalarAlwaysSupportedAndDetectedIsSupported) {
   EXPECT_TRUE(cpu::level_supported(cpu::SimdLevel::kScalar));
   EXPECT_TRUE(cpu::level_supported(cpu::detected_level()));
-  if (cpu::has_avx512_vnni())
+  if (cpu::has_avx512_vnni()) {
     EXPECT_TRUE(cpu::level_supported(cpu::SimdLevel::kAvx512));
+  }
 }
 
 TEST(CpuFeatures, SetActiveLevelClampsToSupported) {

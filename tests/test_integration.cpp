@@ -7,9 +7,9 @@
 
 #include "attack/pbfa.h"
 #include "attack/random_attack.h"
-#include "core/protected_model.h"
 #include "core/scheme.h"
 #include "data/trainer.h"
+#include "qnn/engine.h"
 
 namespace radar {
 namespace {
@@ -166,7 +166,7 @@ TEST(Integration, RecoveryRestoresAccuracyAndLoss) {
   p.qm->restore(clean);
 }
 
-TEST(Integration, ProtectedModelSurvivesRepeatedRuntimeAttacks) {
+TEST(Integration, VerifiedForwardSurvivesRepeatedRuntimeAttacks) {
   Pipeline& p = pipeline();
   const quant::ArenaSnapshot clean = p.qm->snapshot();
 
@@ -174,16 +174,28 @@ TEST(Integration, ProtectedModelSurvivesRepeatedRuntimeAttacks) {
   cfg.group_size = 32;
   core::RadarScheme scheme(cfg);
   scheme.attach(*p.qm);
-  core::ProtectedModel pm(*p.qm, scheme);
+  qnn::InferenceEngine engine(*p.qm);
+  engine.calibrate(p.dataset->test_batch(0, 64).images);
 
   data::Batch probe = p.dataset->test_batch(0, 16);
+  qnn::QnnScratch scratch;
+  nn::Tensor logits;
+  core::DetectionReport report;
   Rng rng(77);
+  int detections = 0;
+  std::int64_t groups_recovered = 0;
   for (int wave = 0; wave < 3; ++wave) {
     attack::random_msb_flips(*p.qm, 4, rng);
-    pm.forward(probe.images);
+    engine.forward_verified_into(probe.images, scheme,
+                                 core::RecoveryPolicy::kZeroOut, scratch,
+                                 logits, report);
+    detections += report.attack_detected() ? 1 : 0;
+    groups_recovered += report.num_flagged_groups();
   }
-  EXPECT_EQ(pm.detections(), 3);
-  EXPECT_GE(pm.groups_recovered(), 3);
+  EXPECT_EQ(detections, 3);
+  EXPECT_GE(groups_recovered, 3);
+  // Every wave was zeroed and re-signed on its fetch.
+  EXPECT_FALSE(scheme.scan(*p.qm).attack_detected());
   p.qm->restore(clean);
 }
 

@@ -16,6 +16,7 @@
 
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
+#include "core/scheme_registry.h"
 #include "qnn/engine.h"
 #include "qnn/kernels.h"
 #include "quant/qmodel.h"
@@ -32,10 +33,16 @@ void* operator new(std::size_t n) {
   return p;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a caller, free() would meet the pointer of
+// the operator new above and trip -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace radar::qnn {
 namespace {
@@ -446,6 +453,28 @@ TEST(Engine, SteadyStateForwardIsAllocationFree) {
   EXPECT_EQ(allocs_after - allocs_before, 0u)
       << "steady-state forward loop heap-allocated";
   EXPECT_EQ(scratch.grows, grows_after_warmup) << "scratch kept growing";
+
+  // The verified forward on a clean model: per-layer rescans draw on the
+  // same scratch and the report keeps its capacity.
+  core::SchemeParams params;
+  params.group_size = 16;
+  auto scheme = core::SchemeRegistry::instance().create("radar2", params);
+  scheme->attach(*rig.qm);
+  core::DetectionReport report;
+  for (int i = 0; i < 2; ++i)
+    eng.forward_verified_into(rig.x, *scheme, core::RecoveryPolicy::kZeroOut,
+                              scratch, logits, report);
+  const std::size_t verified_before = g_live_allocs.load();
+  for (int i = 0; i < 5; ++i) {
+    eng.forward_verified_into(rig.x, *scheme, core::RecoveryPolicy::kZeroOut,
+                              scratch, logits, report);
+    eng.forward_verified_into(remainder, *scheme,
+                              core::RecoveryPolicy::kZeroOut, scratch, logits,
+                              report);
+  }
+  EXPECT_EQ(g_live_allocs.load() - verified_before, 0u)
+      << "steady-state verified forward heap-allocated";
+  EXPECT_FALSE(report.attack_detected());
 }
 
 TEST(Engine, ReferenceSteadyStateIsAllocationFreeToo) {

@@ -12,7 +12,6 @@
 
 #include "common/bits.h"
 #include "common/cpu_features.h"
-#include "core/protected_model.h"
 #include "core/scan_scheduler.h"
 #include "core/scan_session.h"
 #include "core/scheme_registry.h"
@@ -29,10 +28,16 @@ void* operator new(std::size_t n) {
   return p;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a caller, free() would meet the pointer of
+// the operator new above and trip -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace radar::core {
 namespace {
@@ -157,9 +162,10 @@ TEST_F(ScanSessionTest, ByteRangeShardsMatchSerialAtAnyShardSize) {
       const DetectionReport sharded = session.scan(qm_);
       EXPECT_EQ(serial.flagged, sharded.flagged)
           << id << " shard_bytes=" << shard_bytes;
-      if (shard_bytes == 64)
+      if (shard_bytes == 64) {
         EXPECT_GT(session.last_shard_count(), qm_.num_layers())
             << id << ": small shards should split layers";
+      }
     }
     // One chunk per layer: the layer-granular partitioning, pooled.
     ScanSession layerwise(*scheme, 4);
@@ -194,8 +200,8 @@ TEST_F(ScanSessionTest, RangeScanSplitsConcatenateToWholeLayerScan) {
       const std::int64_t b = rng.uniform_int(0, ng);
       const std::int64_t lo = std::min(a, b), hi = std::max(a, b);
       std::vector<std::int64_t> merged;
-      for (const auto [s, e] : {std::pair{std::int64_t{0}, lo},
-                                std::pair{lo, hi}, std::pair{hi, ng}}) {
+      for (const auto& [s, e] : {std::pair{std::int64_t{0}, lo},
+                                 std::pair{lo, hi}, std::pair{hi, ng}}) {
         scheme->scan_layer_range_into(qm_, li, s, e, part, scratch);
         for (const std::int64_t g : part) {
           EXPECT_GE(g, s);
@@ -247,10 +253,12 @@ TEST(ChunkPlan, CoversEveryGroupOnceInAscendingOrder) {
           ++layer_chunks;
         }
         ASSERT_EQ(next, layout.num_groups()) << "layer " << li;
-        if (chunk_bytes == 1)
+        if (chunk_bytes == 1) {
           EXPECT_EQ(layer_chunks, layout.num_groups()) << "one per group";
-        if (chunk_bytes == std::numeric_limits<std::int64_t>::max())
+        }
+        if (chunk_bytes == std::numeric_limits<std::int64_t>::max()) {
           EXPECT_EQ(layer_chunks, 1) << "one per layer";
+        }
       }
       EXPECT_EQ(ci, plan.size()) << "chunks out of layer order";
       // Chunk byte estimates round up per chunk, never below the model.
@@ -335,19 +343,23 @@ TEST_F(ScanSessionTest, UnattachedSchemeRejected) {
   EXPECT_THROW(session.scan(qm_), InvalidArgument);
 }
 
-TEST_F(ScanSessionTest, ProtectedModelUsesSessionForWholeModelScans) {
+TEST_F(ScanSessionTest, PooledScanRecoverResignLeavesCleanModel) {
+  // The whole-model check of a deployment: a pooled scan, zero-out
+  // recovery, then a re-sign so the zeroed groups become golden.
   auto scheme = SchemeRegistry::instance().create("radar2", SchemeParams{
       .group_size = 32});
   scheme->attach(qm_);
-  ProtectedModel pm(qm_, *scheme);
-  pm.set_scan_threads(4);
+  ScanSession session(*scheme, 4);
   qm_.flip_bit(1, 3, kMsb);
-  pm.check_and_recover();
-  EXPECT_EQ(pm.detections(), 1);
+  const DetectionReport report = session.scan(qm_);
+  EXPECT_EQ(report.flagged[1],
+            std::vector<std::int64_t>{scheme->layout(1).group_of(3)});
+  EXPECT_EQ(report.num_flagged_groups(), 1);
+  scheme->recover(qm_, report, RecoveryPolicy::kZeroOut);
+  scheme->resign(qm_);
   EXPECT_EQ(qm_.get_code(1, 3), 0);
-  // Recovered state was re-signed: next parallel scan is clean.
-  pm.check_and_recover();
-  EXPECT_EQ(pm.detections(), 1);
+  // Recovered state was re-signed: the next pooled scan is clean.
+  EXPECT_FALSE(session.scan(qm_).attack_detected());
 }
 
 }  // namespace

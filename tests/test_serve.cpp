@@ -307,6 +307,25 @@ TEST_F(ServeHostTest, ServesTwoTenantsConcurrently) {
             0u);
 }
 
+TEST_F(ServeHostTest, TenantsOfOneModelShareOneDataset) {
+  ModelHost host;
+  add_two_tenants(host);  // both "tiny"
+  EXPECT_EQ(&host.dataset(0), &host.dataset(1));
+  host.start();
+  // Both packages hold the same weights: the shared inputs must still
+  // give each tenant the same answers.
+  const auto& ds = host.dataset(0);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    const nn::Tensor input = ds.test_batch(i, 1).images;
+    const InferenceResult a = host.infer(0, input);
+    const InferenceResult b = host.infer(1, input);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_EQ(a.predicted, b.predicted) << "image " << i;
+  }
+  host.stop();
+}
+
 TEST_F(ServeHostTest, InjectedFaultsDetectedAndRecoveredUnderTraffic) {
   ServeOptions opts;
   opts.workers = 2;

@@ -355,7 +355,10 @@ class SocketBackend : public Backend {
   }
   InferOutcome infer(std::size_t thread_id, std::size_t tenant) override {
     std::string cmd = "INFER " + names_[tenant];
-    if (deadline_ms_ > 0) cmd += " " + std::to_string(deadline_ms_);
+    if (deadline_ms_ > 0) {
+      cmd += ' ';
+      cmd += std::to_string(deadline_ms_);
+    }
     const std::string r = request(thread_fds_.at(thread_id), cmd);
     InferOutcome oc;
     oc.ok = r.rfind("OK", 0) == 0;
